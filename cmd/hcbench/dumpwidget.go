@@ -11,10 +11,10 @@ import (
 	"hashcore/internal/workload"
 )
 
-// runDumpWidget prints every representation of one widget program — the
-// architectural stream, the fused superinstruction stream the interpreter
-// executes, and the native-code footprint the JIT compiles from that same
-// fused-block structure — for codegen debugging. The widget is the one the
+// runDumpWidget prints one widget program — its architectural stream,
+// which is what both the interpreter and the JIT execute block by block,
+// and the native-code footprint the JIT compiles from it — for codegen
+// debugging. The widget is the one the
 // production pipeline would run first for the input LE64(seed): its
 // generator seed is the hash gate applied to that input, exactly as
 // Session.Hash derives it, so a digest divergence seen in the differential
@@ -44,9 +44,6 @@ func runDumpWidget(profileName string, seed uint64) error {
 	if err := m.Load(p); err != nil {
 		return err
 	}
-	fmt.Println("; ---- fused stream (interpreter dispatch, JIT block structure) ----")
-	fmt.Print(m.DisassembleFused())
-
 	if size, err := m.CompileNative(); err != nil {
 		fmt.Printf("; ---- native code: unavailable (%v) ----\n", err)
 	} else {

@@ -13,7 +13,7 @@
 //	hcbench -run table1|fig1|fig2|fig3|sizes|noise|genvssel|randomx|baselines|mine|vm|pool|chain|sync
 //
 // The vm experiment measures the production hashing path (a dedicated
-// session, the fused block-batched interpreter loop) and writes a
+// session on the -backend engine) and writes a
 // machine-readable BENCH_vm.json — hashes/sec, ns/hash, allocs/hash,
 // B/hash, plus the generation-vs-execution split (gen_ns, exec_ns,
 // gate_ns, retired_per_hash, effective_mips) — so the performance
@@ -52,7 +52,7 @@ func main() {
 	benchN := flag.Int("benchn", 200, "hash evaluations for the vm benchmark")
 	benchOut := flag.String("benchout", "BENCH_vm.json", "output path for the vm benchmark JSON")
 	backend := flag.String("backend", "auto", "widget execution backend for the vm benchmark headline: auto, native or interp")
-	dumpWidget := flag.Bool("dump-widget", false, "disassemble the widget selected by -profile/-seed (architectural and fused streams, native code size) and exit")
+	dumpWidget := flag.Bool("dump-widget", false, "disassemble the widget selected by -profile/-seed (architectural stream, native code size) and exit")
 	poolN := flag.Int("pooln", 256, "shares for the pool verification benchmark")
 	poolWorkers := flag.Int("poolworkers", 0, "verification workers for the pool benchmark (0 = GOMAXPROCS)")
 	poolConns := flag.Int("poolconns", 10000, "subscriber connections for the pool broadcast fan-out scenario")

@@ -151,8 +151,8 @@ func WithLoopTrips(trips int) Option {
 }
 
 // WithBackend selects the widget execution engine: "auto" (the default —
-// native machine code where the platform supports it, the fused
-// interpreter elsewhere), "native" or "interp". Digests are bit-identical
+// native machine code where the platform supports it, the interpreter
+// elsewhere), "native" or "interp". Digests are bit-identical
 // across backends; only throughput differs. The HASHCORE_BACKEND
 // environment variable, when set, overrides this option — an operational
 // escape hatch to force the interpreter fleet-wide without a rebuild.
@@ -184,7 +184,8 @@ func WithJournal(j *telemetry.Journal) Option {
 
 // WithTelemetry instruments every hash through reg: latency histograms
 // (end-to-end plus the gen/exec phase split), retired-instruction and
-// fusion-ratio counters — the hashcore_* metric family (DESIGN.md §12).
+// static instruction-count counters — the hashcore_* metric family
+// (DESIGN.md §12).
 // The record path is allocation-free and adds only clock reads and
 // atomic updates, so hashing throughput is unaffected within noise
 // (hcbench's telemetry target measures the delta). A nil reg disables

@@ -33,16 +33,6 @@ func FormatInstr(ins prog.Instr) string {
 	return ins.Op.String() + " " + operands(ins)
 }
 
-// FormatFusedPair renders a fused superinstruction as its mnemonic
-// followed by both architectural halves' operand lists. The halves are the
-// decoded pair a fused execution slot retires (so register dependencies,
-// branch targets and displacements read exactly as in the unfused
-// listing); callers that execute fused code reconstruct them from the
-// packed encoding. Example: cmplt.bne r3, r1, r2 | r3, r0, @7.
-func FormatFusedPair(op isa.Opcode, first, second prog.Instr) string {
-	return op.String() + " " + operands(first) + " | " + operands(second)
-}
-
 // operands renders an instruction's operand list (everything after the
 // mnemonic).
 func operands(ins prog.Instr) string {

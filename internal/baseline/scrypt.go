@@ -1,16 +1,16 @@
 package baseline
 
 import (
+	"crypto/pbkdf2"
+	"crypto/sha256"
 	"encoding/binary"
-
-	"hashcore/internal/sha2"
 )
 
 // Key derives a dkLen-byte key from password and salt using scrypt
 // (RFC 7914) with cost parameters N (CPU/memory, power of two), r (block
-// size) and p (parallelization). It is implemented from scratch on top of
-// this repository's PBKDF2-HMAC-SHA256 (internal/sha2) and verified
-// against the RFC test vectors.
+// size) and p (parallelization). ROMix is implemented here on top of the
+// standard library's PBKDF2-HMAC-SHA256 and verified against the RFC test
+// vectors.
 //
 // It panics on invalid parameters; PoW callers fix them at configuration
 // time.
@@ -23,11 +23,22 @@ func Key(password, salt []byte, n, r, p, dkLen int) []byte {
 	}
 
 	blockBytes := 128 * r
-	b := sha2.PBKDF2(password, salt, 1, p*blockBytes)
+	b := pbkdf2SHA256(password, salt, p*blockBytes)
 	for i := 0; i < p; i++ {
 		roMix(b[i*blockBytes:(i+1)*blockBytes], n, r)
 	}
-	return sha2.PBKDF2(password, b, 1, dkLen)
+	return pbkdf2SHA256(password, b, dkLen)
+}
+
+// pbkdf2SHA256 is the single-iteration PBKDF2-HMAC-SHA256 scrypt wraps
+// around ROMix. Key has already validated keyLen, so an error here can
+// only come from a FIPS 140-only runtime refusing the parameters.
+func pbkdf2SHA256(password, salt []byte, keyLen int) []byte {
+	dk, err := pbkdf2.Key(sha256.New, string(password), salt, 1, keyLen)
+	if err != nil {
+		panic("baseline: " + err.Error())
+	}
+	return dk
 }
 
 // roMix is scryptROMix: sequential memory-hard mixing of one 128r-byte

@@ -56,11 +56,11 @@ type Options struct {
 	UseSourcePipeline bool
 	// Backend selects the widget execution engine (vm.BackendAuto, the
 	// zero value, picks native code where supported and falls back to the
-	// fused interpreter). Digests are bit-identical across backends.
+	// interpreter). Digests are bit-identical across backends.
 	Backend vm.Backend
 	// Metrics, when non-nil, instruments every hash through this
 	// registry: latency histograms (total and gen/exec split), retired
-	// instructions, and static fusion-ratio counters. The record path
+	// instructions, and static instruction counts. The record path
 	// is allocation-free and costs a few clock reads and atomic adds
 	// per hash, so enabling it does not perturb throughput measurably.
 	Metrics *telemetry.Registry

@@ -20,11 +20,9 @@ type hashMetrics struct {
 	execSeconds *telemetry.Histogram
 	// retired counts executed widget instructions (architectural).
 	retired *telemetry.Counter
-	// archInstrs/fusedInstrs accumulate the static stream lengths of
-	// every loaded widget; fused/arch is the superinstruction fusion
-	// ratio (1.0 = no fusion benefit).
-	archInstrs  *telemetry.Counter
-	fusedInstrs *telemetry.Counter
+	// archInstrs accumulates the static instruction counts of every
+	// loaded widget.
+	archInstrs *telemetry.Counter
 	// jitCompileSeconds is the per-widget native compilation latency
 	// (observed only on runs that actually compiled).
 	jitCompileSeconds *telemetry.Histogram
@@ -54,9 +52,6 @@ func newHashMetrics(reg *telemetry.Registry) *hashMetrics {
 		archInstrs: reg.Counter("hashcore_vm_instructions_total",
 			"Static instruction-stream lengths of loaded widgets.",
 			telemetry.Label{Key: "stream", Value: "arch"}),
-		fusedInstrs: reg.Counter("hashcore_vm_instructions_total",
-			"Static instruction-stream lengths of loaded widgets.",
-			telemetry.Label{Key: "stream", Value: "fused"}),
 		jitCompileSeconds: reg.Histogram("hashcore_jit_compile_seconds",
 			"Per-widget native code compilation latency.",
 			telemetry.QueueLatencyBuckets),

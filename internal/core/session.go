@@ -229,9 +229,8 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 		return err
 	}
 	if met := f.met; met != nil {
-		arch, fused := s.m.CodeSize()
-		met.archInstrs.Add(uint64(arch))
-		met.fusedInstrs.Add(uint64(fused))
+		instrs, _ := s.m.CodeSize()
+		met.archInstrs.Add(uint64(instrs))
 	}
 	s.m.RunInto(f.vparams, obs, &s.res)
 	if t != nil || f.met != nil || f.journal != nil {

@@ -11,8 +11,6 @@ package gate
 import (
 	"crypto/sha256"
 	"encoding/binary"
-
-	"hashcore/internal/sha2"
 )
 
 // SeedSize is the hash gate output size in bytes (256 bits), matching the
@@ -39,20 +37,6 @@ func (SHA256) Sum(msg []byte) [SeedSize]byte { return sha256.Sum256(msg) }
 
 // Name returns "sha256".
 func (SHA256) Name() string { return "sha256" }
-
-// Portable is a hash gate backed by this repository's own SHA-256
-// implementation (internal/sha2). It produces identical output to SHA256
-// and exists so the full HashCore pipeline can run with zero dependencies
-// on platform crypto. The zero value is ready to use.
-type Portable struct{}
-
-var _ Gate = Portable{}
-
-// Sum returns SHA-256(msg) computed by internal/sha2.
-func (Portable) Sum(msg []byte) [SeedSize]byte { return sha2.Digest(msg) }
-
-// Name returns "sha256-portable".
-func (Portable) Name() string { return "sha256-portable" }
 
 // Truncated is a deliberately weakened gate for testing the Theorem 1
 // reduction: it keeps only Bits bits of SHA-256 entropy (the rest of the

@@ -3,7 +3,6 @@ package gate
 import (
 	"crypto/sha256"
 	"testing"
-	"testing/quick"
 )
 
 func TestSHA256GateMatchesStdlib(t *testing.T) {
@@ -14,22 +13,12 @@ func TestSHA256GateMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestPortableGateMatchesSHA256Gate(t *testing.T) {
-	f := func(msg []byte) bool {
-		return Portable{}.Sum(msg) == SHA256{}.Sum(msg)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGateNames(t *testing.T) {
 	tests := []struct {
 		g    Gate
 		want string
 	}{
 		{SHA256{}, "sha256"},
-		{Portable{}, "sha256-portable"},
 		{Truncated{Bits: 12}, "sha256-truncated-12"},
 		{Truncated{}, "sha256-truncated-16"},
 	}

@@ -151,65 +151,6 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-func TestFusedOpcodeMetadata(t *testing.T) {
-	seen := map[Opcode]bool{}
-	for op := Opcode(0); op < 255; op++ {
-		first, second, ok := op.FuseParts()
-		if !ok {
-			if op.IsFused() {
-				t.Errorf("%d: IsFused true but FuseParts failed", op)
-			}
-			continue
-		}
-		seen[op] = true
-		if !op.IsFused() {
-			t.Errorf("%s: FuseParts ok but IsFused false", op)
-		}
-		if op.Valid() {
-			t.Errorf("%s: fused opcode must not be Valid (wire format)", op)
-		}
-		if !first.Valid() || !second.Valid() {
-			t.Errorf("%s: halves %s/%s not architectural opcodes", op, first, second)
-		}
-		if first.IsControl() {
-			t.Errorf("%s: first half %s is a control instruction", op, first)
-		}
-		// Fuse must invert FuseParts exactly.
-		if got, ok := Fuse(first, second); !ok || got != op {
-			t.Errorf("Fuse(%s, %s) = %s, %v; want %s", first, second, got, ok, op)
-		}
-		// Mnemonic is "first.second" for debugging output.
-		if want := first.String() + "." + second.String(); op.String() != want {
-			t.Errorf("%s.String() = %q, want %q", op, op.String(), want)
-		}
-		// Fused opcodes have no single class; accounting uses block tallies.
-		if op.ClassOf() != 0 {
-			t.Errorf("%s: ClassOf = %v, want 0", op, op.ClassOf())
-		}
-	}
-	if len(seen) == 0 {
-		t.Fatal("no fused opcodes defined")
-	}
-	// Architectural opcodes never collide with the fused space.
-	for op := range opcodes {
-		if op >= FuseBase {
-			t.Errorf("architectural opcode %s (%d) overlaps the fused space (FuseBase %d)", op, op, FuseBase)
-		}
-	}
-}
-
-func TestFuseRejectsNonPairs(t *testing.T) {
-	if op, ok := Fuse(OpHalt, OpAdd); ok {
-		t.Errorf("Fuse(halt, add) = %s, want no fusion", op)
-	}
-	if op, ok := Fuse(OpAdd, OpHalt); ok {
-		t.Errorf("Fuse(add, halt) = %s, want no fusion", op)
-	}
-	if op, ok := Fuse(OpFuseAddAdd, OpAdd); ok {
-		t.Errorf("Fuse of an already-fused opcode = %s, want no fusion", op)
-	}
-}
-
 func TestOperandLimitsMatchOperands(t *testing.T) {
 	lim := func(f RegFile) uint8 {
 		if f == RegNone {
@@ -240,8 +181,8 @@ func TestClassTableMatchesMap(t *testing.T) {
 
 // TestOpMetaMatches pins the packed OpMeta word to the canonical
 // per-opcode predicates for every possible opcode byte, including
-// undefined and fused ones (which must read as invalid with all-zero
-// operand bounds).
+// undefined ones (which must read as invalid with all-zero operand
+// bounds).
 func TestOpMetaMatches(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		op := Opcode(i)

@@ -459,7 +459,7 @@ func (c *Compiler) emitEpilogue() {
 }
 
 // emitBlock emits one block: the head guards and wholesale accounting
-// (the native transcription of vm.runUnobserved's fast-path checks), then
+// (the native transcription of vm.runInterp's wholesale-block checks), then
 // the lowered body.
 func (c *Compiler) emitBlock(p *Program, bi int) error {
 	b := p.Blocks[bi]
@@ -469,7 +469,7 @@ func (c *Compiler) emitBlock(p *Program, bi int) error {
 
 	// The interpreter's three head guards (retired >= maxInstr -> trunc;
 	// count > maxInstr-retired -> slow; count >= untilSnap -> slow)
-	// compress to ONE charge-and-check SUB against the fused countdown
+	// compress to ONE charge-and-check SUB against the combined countdown
 	// (R12 = min(remaining budget, snapshot countdown), both of which an
 	// instruction retirement decrements together). The SUB both performs
 	// the wholesale accounting and leaves the guard condition in the

@@ -4,7 +4,7 @@ package jit
 
 // Unit tests for the code generator, below the vm driver: hand-built
 // Programs compiled and entered directly through a Frame. The vm package's
-// differential suites (FuzzNativeVsFused and the boundary sweeps) are the
+// differential suites (FuzzNativeVsInterp and the boundary sweeps) are the
 // semantic ground truth; these tests pin the Frame ABI — head-guard exits,
 // wholesale accounting, status codes — that the driver relies on.
 
@@ -70,7 +70,7 @@ func TestCompileAndRun(t *testing.T) {
 	}
 }
 
-// TestHeadGuards drives the fused fast-path head check to each of its
+// TestHeadGuards drives the fast-path head check to each of its
 // exits: budget exhausted, block would overrun the budget, block would
 // cross the snapshot countdown — all bounce to the slow path naming the
 // blocked block (the driver's per-instruction path re-derives whether

@@ -7,15 +7,16 @@
 // native speed instead of interpreter speed.
 //
 // The package is deliberately narrow. It knows nothing about snapshots,
-// memory images or result buffers: it compiles exactly the fast-path
-// block-batched loop of vm.runUnobserved — per-block budget and snapshot
-// guards, wholesale retirement accounting, straight-line opcode lowering —
-// and *exits* to the caller whenever a block cannot be executed wholesale
-// (budget or snapshot boundary in range, or a halt/truncation). The caller
-// (internal/vm) runs those boundary blocks on its exact per-instruction
-// slow path and re-enters the native code at the next block, which is what
-// keeps truncation points, retired counts and snapshot bytes bit-identical
-// to the interpreter.
+// memory images or result buffers: it compiles exactly the wholesale case
+// of the interpreter's block loop (vm.runInterp) — per-block budget and
+// snapshot guards, wholesale retirement accounting, straight-line opcode
+// lowering — and *exits* to the caller whenever a block cannot be executed
+// wholesale (budget or snapshot boundary in range, or a halt/truncation).
+// The caller (internal/vm) runs those boundary blocks exactly, one
+// instruction at a time, on the interpreter's block executor and re-enters
+// the native code at the next block, which is what keeps truncation
+// points, retired counts and snapshot bytes bit-identical to the
+// interpreter.
 //
 // All communication happens through a Frame: a plain Go struct holding the
 // full architectural register file, the live accounting counters, and the
@@ -130,8 +131,8 @@ type BlockSpan struct {
 	Count uint32
 }
 
-// Program is the compiler's input: the flattened unfused instruction
-// stream plus block structure. Slices are caller-owned and may be reused
+// Program is the compiler's input: the flattened instruction stream plus
+// block structure. Slices are caller-owned and may be reused
 // between Compile calls.
 type Program struct {
 	Instrs []Instr

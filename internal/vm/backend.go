@@ -6,7 +6,6 @@ import (
 	"time"
 	"unsafe"
 
-	"hashcore/internal/isa"
 	"hashcore/internal/jit"
 )
 
@@ -17,7 +16,7 @@ type Backend uint8
 
 const (
 	// BackendAuto runs native code when the platform supports it and the
-	// program compiles, falling back to the fused interpreter otherwise.
+	// program compiles, falling back to the interpreter otherwise.
 	// This is the zero value, so an unconfigured Machine picks the fastest
 	// engine automatically.
 	BackendAuto Backend = iota
@@ -26,7 +25,7 @@ const (
 	// LastRunStats reports the fallback so callers and tests can detect
 	// it).
 	BackendNative
-	// BackendInterp forces the fused interpreter (the portable reference
+	// BackendInterp forces the interpreter (the portable reference
 	// executor).
 	BackendInterp
 )
@@ -98,7 +97,6 @@ type nativeState struct {
 	code  *jit.Code
 	jprog jit.Program
 	frame jit.Frame
-	execs []uint64 // per-block fast-path execution counters (jit twin of blockMeta.execs)
 
 	// compiledGen keys the cached code to Machine.loadGen: LoadTrusted
 	// bumps the generation, so the first unobserved run of each loaded
@@ -144,7 +142,7 @@ func (m *Machine) ensureCompiled() *nativeState {
 }
 
 // jit.Instr is declared field-for-field compatible with flatInstr so the
-// decoded unfused stream can be handed to the compiler as a zero-copy
+// decoded stream can be handed to the compiler as a zero-copy
 // view (compilation is per hash; rebuilding ~4k instruction structs per
 // widget was a measurable slice of compile time). This init pins the
 // layout contract.
@@ -164,7 +162,7 @@ func init() {
 	}
 }
 
-// buildJITProgram presents the decoded unfused stream in the compiler's
+// buildJITProgram presents the decoded stream in the compiler's
 // input form. Instrs is a zero-copy view of m.code (layouts asserted
 // identical above; the compiler never mutates its input), valid until the
 // next LoadTrusted; Blocks is the small per-block span table.
@@ -201,39 +199,25 @@ func (m *Machine) tryRunNative(params Params, res *Result) bool {
 	return true
 }
 
-// runNative drives compiled code to completion. The structure mirrors
-// runUnobserved exactly: native code IS the fast path (head guards,
-// wholesale accounting, straight-line bodies), and every block it cannot
-// retire wholesale is bounced to the same runBlockSlow the interpreter
-// uses, after which execution re-enters native code at the block the slow
-// path names. Snapshot bytes, truncation points and every counter are
-// therefore bit-identical across engines.
+// runNative drives compiled code to completion. Native code runs the
+// blocks it can account wholesale (head guards, wholesale accounting into
+// m.execs, straight-line bodies); every block it cannot is bounced to the
+// interpreter's runBlocks with single set, which executes it exactly, after
+// which execution re-enters native code at the block runBlocks names.
+// Snapshot bytes, truncation points and every counter are therefore
+// bit-identical across engines.
 func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
-	nb := len(m.blocks)
-	if cap(ns.execs) < nb {
-		ns.execs = make([]uint64, nb)
-	}
-	ns.execs = ns.execs[:nb]
-	for i := range ns.execs {
-		ns.execs[i] = 0
-	}
-
-	st := execState{
-		untilSnap:    params.SnapshotInterval,
-		snapInterval: params.SnapshotInterval,
-		maxInstr:     params.MaxInstructions,
-	}
-	truncated := false
+	st := m.startRun(params, nil, res)
 	bi := uint32(0)
 
 	f := &ns.frame
 	f.Mem = uintptr(unsafe.Pointer(&m.mem[0]))
 	f.MaskAligned = (uint64(m.memSize) - 1) &^ 7
 	f.MaxInstr = st.maxInstr
-	f.ExecsBase = uintptr(unsafe.Pointer(&ns.execs[0]))
+	f.ExecsBase = uintptr(unsafe.Pointer(&m.execs[0]))
 
 	for {
-		// Enter native code at block bi; it runs fast-path blocks until a
+		// Enter native code at block bi; it runs wholesale blocks until a
 		// boundary, halt or truncation forces an exit.
 		f.IntRegs = m.intRegs
 		f.FPRegs = m.fpRegs
@@ -252,48 +236,22 @@ func (m *Machine) runNative(params Params, res *Result, ns *nativeState) {
 		st.takenBranches = f.TakenBranches
 
 		if f.Status == jit.StatusHalt {
+			bi = halted
 			break
 		}
 		// The block straddles a budget or snapshot boundary (or the budget
-		// is exhausted outright): execute it on the exact per-instruction
-		// path — which truncates, snapshots, or retires it exactly as the
-		// interpreter would — then re-enter native code.
-		next, status := m.runBlockSlow(f.NextBlock, &st, res)
-		if status == slowHalt {
+		// is exhausted outright): execute it exactly — which truncates,
+		// snapshots, or retires it just as the interpreter would — then
+		// re-enter native code.
+		if bi = m.runBlocks(f.NextBlock, true, &st); bi == halted || bi == truncated {
 			break
 		}
-		if status == slowTrunc {
-			truncated = true
-			break
-		}
-		bi = next
 	}
-	// The mem/execs uintptrs in the frame die with this call; m and ns
-	// keep the underlying storage alive until here.
+	// The mem/execs uintptrs in the frame die with this call; m keeps the
+	// underlying storage alive until here.
 	runtime.KeepAlive(m)
-	runtime.KeepAlive(ns)
 
-	// Identical epilogue to runUnobserved: terminal snapshot, then fold
-	// the deferred fast-path class accounting into the slow path's exact
-	// counts.
-	res.Output = m.appendSnapshot(res.Output, st.retired)
-	res.Snapshots++
-	res.Retired = st.retired
-	res.Truncated = truncated
-	res.CondBranches = st.condBranches
-	res.TakenBranches = st.takenBranches
-	classCounts := st.classCounts
-	for b := range ns.execs {
-		n := ns.execs[b]
-		if n == 0 {
-			continue
-		}
-		t := &m.blockTally[b]
-		for c := 1; c < isa.NumClasses; c++ {
-			classCounts[c] += n * uint64(t[c])
-		}
-	}
-	res.ClassCounts = classCounts
+	m.finishRun(&st, bi == truncated)
 
 	// Native stores bypass the dirty-word recording, so the pristine-image
 	// bookkeeping no longer describes memory; force the next reset to

@@ -1,10 +1,11 @@
 package vm_test
 
-// Benchmarks for the two specialized interpreter loops, on a realistic
-// widget (Leela profile, paper defaults). The unobserved loop is the
-// production hashing path; the observed loop feeds the uarch timing model
-// and the profiler. The allocation tests pin down the zero-allocation
-// contract of the reusable Machine/Result pair.
+// Benchmarks for unobserved and observed runs, on a realistic widget
+// (Leela profile, paper defaults). The unobserved run (native code where
+// the platform has a JIT) is the production hashing path; the observed
+// run feeds the uarch timing model and the profiler. The allocation tests
+// pin down the zero-allocation contract of the reusable Machine/Result
+// pair.
 
 import (
 	"testing"
@@ -96,12 +97,13 @@ func TestRunIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedLoopZeroAlloc is the allocation guard for the fused
-// block-batched loop specifically: a small snapshot interval forces the
-// per-instruction slow path (and its mid-block snapshots) to run on
-// nearly every block, and a tight budget exercises the truncation path —
-// none of which may allocate in the steady state.
-func TestFusedLoopZeroAlloc(t *testing.T) {
+// TestInterpLoopZeroAlloc is the allocation guard for the interpreter
+// specifically (pinned, since the default backend is native code where
+// the platform has a JIT): a small snapshot interval forces exact
+// per-instruction execution (and its mid-block snapshots) on nearly every
+// block, and a tight budget exercises the truncation path — none of which
+// may allocate in the steady state.
+func TestInterpLoopZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short mode")
 	}
@@ -109,6 +111,7 @@ func TestFusedLoopZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetBackend(vm.BackendInterp)
 	params := vm.Params{SnapshotInterval: 3}
 	trunc := vm.Params{SnapshotInterval: 5, MaxInstructions: 10_000}
 	var res vm.Result
@@ -119,14 +122,14 @@ func TestFusedLoopZeroAlloc(t *testing.T) {
 		m.RunInto(trunc, nil, &res)
 	})
 	if allocs != 0 {
-		t.Errorf("fused loop allocated %.1f objects/run in steady state, want 0", allocs)
+		t.Errorf("interpreter allocated %.1f objects/run in steady state, want 0", allocs)
 	}
 }
 
-// TestObservedMatchesUnobserved asserts the two specialized loops retire
-// identical architectural state: same output bytes, counters and class
-// accounting. This is the determinism contract the loop split must not
-// break.
+// TestObservedMatchesUnobserved asserts observed and unobserved runs on
+// the default backend retire identical architectural state: same output
+// bytes, counters and class accounting. Attaching an observer must never
+// change a digest.
 func TestObservedMatchesUnobserved(t *testing.T) {
 	p := benchWidget(t)
 	fast, err := vm.Run(p, vm.Params{}, nil)

@@ -1,12 +1,13 @@
 package vm_test
 
-// Property and fuzz tests for the fused, block-batched execution engine:
-// for arbitrary generated widgets and arbitrary budget/snapshot parameters,
-// the fused unobserved loop must retire exactly the Result the unfused
-// per-instruction (observed) loop does — output bytes, retired count,
-// truncation flag, snapshot count, class counts and branch statistics.
-// Programs that halt exactly on a budget or snapshot boundary are probed
-// explicitly: those are the cases the slow-path re-entry exists for.
+// Property and fuzz tests for the interpreter's block accounting: for
+// arbitrary generated widgets and arbitrary budget/snapshot parameters, an
+// unobserved interpreter run (blocks accounted wholesale wherever they fit)
+// must retire exactly the Result an observed run (every instruction
+// accounted exactly) does — output bytes, retired count, truncation flag,
+// snapshot count, class counts and branch statistics. Programs that halt
+// exactly on a budget or snapshot boundary are probed explicitly: those
+// are the cases exact execution of boundary blocks exists for.
 
 import (
 	"bytes"
@@ -37,7 +38,7 @@ func fuzzGenerator(tb testing.TB) *perfprox.Generator {
 }
 
 // fullProfileGenerator exercises every workload family (int, fp, vector)
-// so FP and vector fused opcodes appear in generated code too.
+// so FP and vector opcodes appear in generated code too.
 func fullProfileGenerator(tb testing.TB, name string) *perfprox.Generator {
 	tb.Helper()
 	w, err := workload.ByName(name)
@@ -68,33 +69,62 @@ func seedFromWords(lo, hi uint64) perfprox.Seed {
 	return s
 }
 
-// checkFusedMatchesUnfused runs p under both loops with params and fails
-// the test on any divergence.
-func checkFusedMatchesUnfused(t *testing.T, m *vm.Machine, params vm.Params) (fused vm.Result) {
+// checkInterpMatchesObserved runs m on the interpreter unobserved and
+// observed with params and fails the test on any divergence. The backend
+// is pinned: an unobserved run on the default backend would be native code
+// wherever the platform has a JIT.
+func checkInterpMatchesObserved(t *testing.T, m *vm.Machine, params vm.Params) (interp vm.Result) {
 	t.Helper()
-	var unfused vm.Result
-	m.RunInto(params, nil, &fused)
-	m.RunInto(params, &nullObserver{}, &unfused)
-	if !bytes.Equal(fused.Output, unfused.Output) {
-		t.Fatalf("params %+v: fused/unfused outputs differ (%d vs %d bytes)",
-			params, len(fused.Output), len(unfused.Output))
+	var observed vm.Result
+	m.SetBackend(vm.BackendInterp)
+	m.RunInto(params, nil, &interp)
+	if st := m.LastRunStats(); st.Backend != vm.BackendInterp {
+		t.Fatalf("params %+v: unobserved run used %v, want interp", params, st.Backend)
 	}
-	if fused.Retired != unfused.Retired || fused.Truncated != unfused.Truncated ||
-		fused.Snapshots != unfused.Snapshots ||
-		fused.CondBranches != unfused.CondBranches ||
-		fused.TakenBranches != unfused.TakenBranches ||
-		fused.ClassCounts != unfused.ClassCounts {
-		t.Fatalf("params %+v: result metadata diverged:\n fused   %+v\n unfused %+v",
-			params, fused, unfused)
+	m.RunInto(params, &nullObserver{}, &observed)
+	if !bytes.Equal(interp.Output, observed.Output) {
+		t.Fatalf("params %+v: interp/observed outputs differ (%d vs %d bytes)",
+			params, len(interp.Output), len(observed.Output))
 	}
-	return fused
+	if interp.Retired != observed.Retired || interp.Truncated != observed.Truncated ||
+		interp.Snapshots != observed.Snapshots ||
+		interp.CondBranches != observed.CondBranches ||
+		interp.TakenBranches != observed.TakenBranches ||
+		interp.ClassCounts != observed.ClassCounts {
+		t.Fatalf("params %+v: result metadata diverged:\n interp   %+v\n observed %+v",
+			params, interp, observed)
+	}
+	return interp
 }
 
-// TestFusedMatchesUnfusedOnBoundaries sweeps generated widgets through
+// fuzzBudget derives an instruction budget near interesting edges from a
+// fuzzed selector: the default, exact completion, one off either side,
+// mid-run truncation and tiny runs.
+func fuzzBudget(natural uint64, sel uint8) uint64 {
+	switch sel % 8 {
+	case 1:
+		return natural
+	case 2:
+		return natural - 1
+	case 3:
+		return natural + 1
+	case 4:
+		return natural/2 + 1
+	case 5:
+		return 1
+	case 6:
+		return 2
+	case 7:
+		return natural/3 + 1
+	}
+	return 0 // default budget
+}
+
+// TestInterpMatchesObservedOnBoundaries sweeps generated widgets through
 // budgets and snapshot intervals that land exactly on, one before and one
 // after the program's natural retirement — plus intervals that divide it —
-// locking the slow-path re-entry semantics bit-for-bit.
-func TestFusedMatchesUnfusedOnBoundaries(t *testing.T) {
+// locking the exact execution of boundary blocks bit-for-bit.
+func TestInterpMatchesObservedOnBoundaries(t *testing.T) {
 	for _, name := range []string{"leela", "lbm"} {
 		gen := fullProfileGenerator(t, name)
 		for i := uint64(0); i < 4; i++ {
@@ -106,31 +136,32 @@ func TestFusedMatchesUnfusedOnBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			natural := checkFusedMatchesUnfused(t, m, vm.Params{}).Retired
+			natural := checkInterpMatchesObserved(t, m, vm.Params{}).Retired
 
 			budgets := []uint64{natural, natural - 1, natural + 1, natural / 2, natural/3 + 1, 1, 2}
 			for _, b := range budgets {
 				if b == 0 {
 					continue
 				}
-				checkFusedMatchesUnfused(t, m, vm.Params{MaxInstructions: b})
+				checkInterpMatchesObserved(t, m, vm.Params{MaxInstructions: b})
 			}
 			intervals := []uint64{1, 2, 3, 7, natural - 1, natural, 64}
 			for _, iv := range intervals {
 				if iv == 0 {
 					continue
 				}
-				checkFusedMatchesUnfused(t, m, vm.Params{SnapshotInterval: iv})
+				checkInterpMatchesObserved(t, m, vm.Params{SnapshotInterval: iv})
 				// Budget AND snapshot boundaries interacting in one run.
-				checkFusedMatchesUnfused(t, m, vm.Params{SnapshotInterval: iv, MaxInstructions: natural - 1})
+				checkInterpMatchesObserved(t, m, vm.Params{SnapshotInterval: iv, MaxInstructions: natural - 1})
 			}
 		}
 	}
 }
 
-// FuzzFusedVsUnfused generates a widget from fuzzed seed material and
-// executes it under fuzzed budget/snapshot parameters through both loops.
-func FuzzFusedVsUnfused(f *testing.F) {
+// FuzzInterpVsObserved generates a widget from fuzzed seed material and
+// executes it under fuzzed budget/snapshot parameters on the interpreter,
+// unobserved and observed.
+func FuzzInterpVsObserved(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint16(0), uint8(0))
 	f.Add(uint64(3), uint64(4), uint16(1), uint8(1))
 	f.Add(uint64(0xdead), uint64(0xbeef), uint16(2048), uint8(3))
@@ -147,30 +178,8 @@ func FuzzFusedVsUnfused(f *testing.F) {
 			t.Fatalf("generated program failed validation: %v", err)
 		}
 		params := vm.Params{SnapshotInterval: uint64(snapRaw)}
-		natural := checkFusedMatchesUnfused(t, m, params).Retired
-
-		// Derive a budget near interesting edges from the selector: exact
-		// completion, one off either side, mid-run truncation, tiny runs.
-		var budget uint64
-		switch budgetSel % 8 {
-		case 0:
-			budget = 0 // default budget
-		case 1:
-			budget = natural
-		case 2:
-			budget = natural - 1
-		case 3:
-			budget = natural + 1
-		case 4:
-			budget = natural/2 + 1
-		case 5:
-			budget = 1
-		case 6:
-			budget = 2
-		case 7:
-			budget = natural/3 + 1
-		}
-		params.MaxInstructions = budget
-		checkFusedMatchesUnfused(t, m, params)
+		natural := checkInterpMatchesObserved(t, m, params).Retired
+		params.MaxInstructions = fuzzBudget(natural, budgetSel)
+		checkInterpMatchesObserved(t, m, params)
 	})
 }

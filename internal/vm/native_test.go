@@ -2,11 +2,12 @@ package vm_test
 
 // Differential tests for the native code backend: for arbitrary generated
 // widgets and arbitrary budget/snapshot parameters, a run compiled to
-// native code must produce exactly the Result the fused interpreter does —
+// native code must produce exactly the Result the interpreter does —
 // output bytes, retired count, truncation flag, snapshot count, class
-// counts and branch statistics. These mirror the fused-vs-unfused suite
-// one layer up: interpreter correctness is anchored to the per-instruction
-// reference loop, and the native backend is anchored to the interpreter.
+// counts and branch statistics. These mirror the interp-vs-observed suite
+// one layer up: the interpreter's wholesale block accounting is anchored to
+// exact per-instruction execution, and the native backend is anchored to
+// the interpreter.
 
 import (
 	"bytes"
@@ -53,7 +54,8 @@ func checkNativeVsInterp(t *testing.T, m *vm.Machine, params vm.Params) (native 
 // workload family through budgets and snapshot intervals that land exactly
 // on, one before and one after the program's natural retirement — the
 // cases where native code must bounce boundary blocks to the interpreter's
-// slow path and re-enter at the right block with identical state.
+// exact block executor and re-enter at the right block with identical
+// state.
 func TestNativeMatchesInterpOnBoundaries(t *testing.T) {
 	requireNative(t)
 	for _, name := range []string{"leela", "lbm"} {
@@ -86,10 +88,10 @@ func TestNativeMatchesInterpOnBoundaries(t *testing.T) {
 	}
 }
 
-// FuzzNativeVsFused generates a widget from fuzzed seed material and
+// FuzzNativeVsInterp generates a widget from fuzzed seed material and
 // executes it under fuzzed budget/snapshot parameters through the native
-// backend and the fused interpreter, requiring bit-identical Results.
-func FuzzNativeVsFused(f *testing.F) {
+// backend and the interpreter, requiring bit-identical Results.
+func FuzzNativeVsInterp(f *testing.F) {
 	requireNative(f)
 	f.Add(uint64(1), uint64(2), uint16(0), uint8(0))
 	f.Add(uint64(3), uint64(4), uint16(1), uint8(1))
@@ -108,27 +110,7 @@ func FuzzNativeVsFused(f *testing.F) {
 		}
 		params := vm.Params{SnapshotInterval: uint64(snapRaw)}
 		natural := checkNativeVsInterp(t, m, params).Retired
-
-		var budget uint64
-		switch budgetSel % 8 {
-		case 0:
-			budget = 0 // default budget
-		case 1:
-			budget = natural
-		case 2:
-			budget = natural - 1
-		case 3:
-			budget = natural + 1
-		case 4:
-			budget = natural/2 + 1
-		case 5:
-			budget = 1
-		case 6:
-			budget = 2
-		case 7:
-			budget = natural/3 + 1
-		}
-		params.MaxInstructions = budget
+		params.MaxInstructions = fuzzBudget(natural, budgetSel)
 		checkNativeVsInterp(t, m, params)
 	})
 }

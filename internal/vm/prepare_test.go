@@ -37,6 +37,13 @@ func storeLoop(t *testing.T, memSize, count int) *prog.Program {
 	return p
 }
 
+// pristine returns the scratch-memory image (size, seed) declares.
+func pristine(size int, seed uint64) []byte {
+	img := make([]byte, size)
+	rng.SplitMix64Fill(img, seed)
+	return img
+}
+
 // runDigest executes p on m and returns the output bytes.
 func runDigest(m *Machine, p *prog.Program) []byte {
 	m.LoadTrusted(p)
@@ -95,18 +102,24 @@ func TestPrepareMemoryMismatchFallsBack(t *testing.T) {
 
 // TestPrepareMemoryRepeatedRepairs: repeated prepare/run cycles of the
 // same image walk the dirty-word repair path (tracking arms on the
-// second consecutive restore of one image); outputs must stay identical
-// to fresh-machine runs throughout.
+// second consecutive restore of one image); every preparation must leave
+// the pristine image and outputs must stay identical to fresh-machine
+// runs throughout. (storeLoop's output never reads memory, so the image
+// itself is what the repair is checked against.)
 func TestPrepareMemoryRepeatedRepairs(t *testing.T) {
 	p := storeLoop(t, prog.MinMemSize, 200)
 	fresh := &Machine{}
 	fresh.SetBackend(BackendInterp)
 	want := runDigest(fresh, p)
 
+	wantMem := pristine(p.MemSize, p.MemSeed)
 	m := &Machine{}
 	m.SetBackend(BackendInterp) // native runs mark memory unusable; repair needs the interpreter
 	for i := 0; i < 4; i++ {
 		m.PrepareMemory(p.MemSize, p.MemSeed)
+		if !bytes.Equal(m.mem, wantMem) {
+			t.Fatalf("cycle %d: prepared image is not pristine", i)
+		}
 		if got := runDigest(m, p); !bytes.Equal(got, want) {
 			t.Fatalf("cycle %d: output diverged", i)
 		}
@@ -140,9 +153,7 @@ func TestPrepareMemoryDirtyOverflow(t *testing.T) {
 	// After overflow, the next prepare regenerates fully; verify the
 	// image is exactly the canonical SplitMix64 expansion.
 	m.PrepareMemory(p.MemSize, p.MemSeed)
-	wantMem := make([]byte, p.MemSize)
-	rng.SplitMix64Fill(wantMem, p.MemSeed)
-	if !bytes.Equal(m.mem, wantMem) {
+	if !bytes.Equal(m.mem, pristine(p.MemSize, p.MemSeed)) {
 		t.Fatal("post-overflow prepare left a non-pristine image")
 	}
 }
@@ -150,12 +161,16 @@ func TestPrepareMemoryDirtyOverflow(t *testing.T) {
 // FuzzPrepareMemorySequence drives a machine through a pseudo-random
 // sequence of prepare/run cycles — seed changes, size changes, right and
 // wrong preparations interleaved — and requires every run's output to
-// equal a fresh machine's run of the same program. This is the
-// overlapped-session state machine (prepare, maybe-mismatch, adopt,
+// equal a fresh machine's run of the same program. Outputs alone would
+// miss a stale word the program never loads, so memory is compared too:
+// a matching preparation must leave exactly the pristine image, and after
+// each run the machine's memory must equal the fresh machine's. This is
+// the overlapped-session state machine (prepare, maybe-mismatch, adopt,
 // repair, overflow) explored adversarially.
 func FuzzPrepareMemorySequence(f *testing.F) {
 	f.Add(uint64(1), uint8(6))
 	f.Add(uint64(42), uint8(20))
+	f.Add(uint64(72), uint8(24)) // reaches the dirty-word repair path
 	f.Fuzz(func(t *testing.T, fuzzSeed uint64, steps uint8) {
 		if steps > 24 {
 			steps = 24
@@ -194,6 +209,10 @@ func FuzzPrepareMemorySequence(f *testing.F) {
 			switch r.Intn(3) {
 			case 0:
 				m.PrepareMemory(p.MemSize, p.MemSeed)
+				if !bytes.Equal(m.mem, pristine(p.MemSize, p.MemSeed)) {
+					t.Fatalf("step %d (size %d seed %d): prepared image is not pristine",
+						i, size, memSeed)
+				}
 			case 1:
 				m.PrepareMemory(sizes[r.Intn(len(sizes))], r.Next()%4)
 			}
@@ -203,6 +222,10 @@ func FuzzPrepareMemorySequence(f *testing.F) {
 			want := runDigest(fresh, p)
 			if got := runDigest(m, p); !bytes.Equal(got, want) {
 				t.Fatalf("step %d (size %d seed %d count %d): output diverged",
+					i, size, memSeed, count)
+			}
+			if !bytes.Equal(m.mem, fresh.mem) {
+				t.Fatalf("step %d (size %d seed %d count %d): memory after the run diverged",
 					i, size, memSeed, count)
 			}
 		}

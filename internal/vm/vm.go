@@ -21,12 +21,14 @@
 // Machines are reusable: Load swaps in a new program while retaining the
 // decoded-code and scratch-memory storage, and RunInto appends output into
 // a caller-owned Result, so a hot loop (core.Session, the miner) executes
-// arbitrarily many widgets without allocating. The interpreter itself is
-// specialized: when no Observer is attached, execution runs the
-// superinstruction-fused, block-batched engine (per-block accounting with
-// an exact per-instruction slow path at budget/snapshot boundaries — see
-// runUnobserved and fuse.go); with an Observer it runs per-instruction
-// over the unfused stream so every retirement is visible as an Event.
+// arbitrarily many widgets without allocating. The ISA's semantics live in
+// exactly one Go function, execute, which the interpreter's block loop
+// (runBlocks) drives block by block and the native backend (backend.go)
+// falls back to at budget and snapshot boundaries. A block that retires
+// wholly inside the budget and the snapshot window is accounted wholesale;
+// a boundary block, or any block while an Observer is attached, executes
+// and retires one instruction at a time, so every retirement is exact and
+// visible as an Event.
 package vm
 
 import (
@@ -155,21 +157,13 @@ func (r *Result) reset() {
 	r.TakenBranches = 0
 }
 
-// flatInstr is a pre-decoded instruction. The layout is ordered
-// widest-field-first so the struct packs into 24 bytes (no padding holes)
-// and the decoded program stays dense in the data cache.
-//
-// The same struct encodes both instruction streams the Machine keeps:
-//
-//   - Unfused code (m.code): one entry per architectural instruction.
-//     Control instructions carry their target twice — target is the flat
-//     code index (used by the per-instruction observed loop), aux is the
-//     block index (used by the slow-path block executor).
-//   - Fused code (m.fcode): the per-block superinstruction stream. Control
-//     instructions carry the BLOCK index in target (the block-batched loop
-//     transfers between blocks, never raw pcs), and fused opcodes pack
-//     their second half's operands into aux/target/imm as documented in
-//     fuse.go.
+// flatInstr is a pre-decoded instruction, one per architectural
+// instruction. The layout is ordered widest-field-first so the struct packs
+// into 24 bytes (no padding holes) and the decoded program stays dense in
+// the data cache. Control instructions carry their target twice: aux is the
+// block index the executor transfers to, target the flat code index of that
+// block's first instruction (part of the layout shared with prog.FlatInstr
+// and jit.Instr).
 type flatInstr struct {
 	imm       int64
 	target    uint32
@@ -179,18 +173,10 @@ type flatInstr struct {
 	dst, a, b uint8
 }
 
-// blockMeta is the block-batched interpreter's per-block record: where the
-// block's fused and unfused instructions live, how many architectural
-// instructions the whole block retires, and the run-local fast-path
-// execution counter (kept inside the meta so the hot loop's accounting
-// touches no second array; uint64 because a hot loop block can execute
-// more than 2^32 times under a large MaxInstructions budget). 24 bytes.
+// blockMeta locates one basic block in m.code.
 type blockMeta struct {
-	execs  uint64 // fast-path executions this run (cleared per run)
-	fstart uint32 // first fused instruction (m.fcode index)
-	fend   uint32 // one past the last fused instruction
-	start  uint32 // first unfused instruction (m.code index, slow path)
-	count  uint32 // architectural instructions retired by the full block
+	start uint32 // first instruction (m.code index)
+	count uint32 // instructions retired by the full block
 }
 
 // Machine is a reusable executor. Construct with New (or the zero value
@@ -199,17 +185,23 @@ type blockMeta struct {
 // slices, block metadata and scratch memory, so steady-state reloads
 // allocate nothing. A Machine is not safe for concurrent use.
 type Machine struct {
-	code    []flatInstr // unfused: observed loop + slow path (may alias Program.Flat)
+	code    []flatInstr // decoded program (may alias Program.Flat)
 	ownCode []flatInstr // machine-owned decode storage (code points here when not aliasing)
-	fcode   []flatInstr // fused: block-batched unobserved loop
 	memSize int
 	memSeed uint64
 	mem     []byte
 
 	blocks      []blockMeta
-	blockTally  [][isa.NumClasses]uint32 // per-block class tallies (unfused)
+	blockTally  [][isa.NumClasses]uint32 // per-block class tallies
 	blockStart  []uint32                 // scratch for Load, reused across programs
 	statScratch []prog.BlockStats        // fallback stats for programs without p.Stats
+
+	// execs counts, per block, the executions accounted wholesale in the
+	// current run (by either engine); uint64 because a hot loop block can
+	// execute more than 2^32 times under a large MaxInstructions budget.
+	// Class counts for those executions are folded in from blockTally when
+	// the run ends (see finishRun).
+	execs []uint64
 
 	// Dirty-word memory tracking: when the machine re-runs the same
 	// memory image (ablation experiments, benchmarks, repeated Run calls
@@ -241,14 +233,16 @@ type Machine struct {
 	fpRegs  [isa.NumFPRegs]uint64 // IEEE-754 bits
 	vecRegs [isa.NumVecRegs][isa.VecLanes]uint64
 
+	// ev is the Event handed to an Observer, reused for every retirement
+	// so observed runs do not allocate.
+	ev Event
+
 	// Native backend state (see backend.go): the configured engine, the
-	// per-Machine JIT cache, the load generation that keys it (and the
-	// lazily built fused stream, see ensureFused), and the last run's
-	// execution report.
+	// per-Machine JIT cache, the load generation that keys it, and the
+	// last run's execution report.
 	backend   Backend
 	native    *nativeState
 	loadGen   uint64
-	fusedGen  uint64
 	lastStats RunStats
 }
 
@@ -291,14 +285,10 @@ func (m *Machine) Load(p *prog.Program) error {
 	return nil
 }
 
-// CodeSize reports the lengths of the two decoded instruction streams of
-// the currently loaded program: arch is the unfused architectural stream,
-// fused the superinstruction stream (fused <= arch; arch/fused is the
-// fusion ratio telemetry tracks per widget). Fusing is lazy, so calling
-// this builds the fused stream if no interpreter run has needed it yet.
-func (m *Machine) CodeSize() (arch, fused int) {
-	m.ensureFused()
-	return len(m.code), len(m.fcode)
+// CodeSize reports the size of the currently loaded program: its
+// instruction count and its basic-block count.
+func (m *Machine) CodeSize() (instrs, blocks int) {
+	return len(m.code), len(m.blocks)
 }
 
 // LoadTrusted is Load without the validation pass, for programs that are
@@ -306,13 +296,11 @@ func (m *Machine) CodeSize() (arch, fused int) {
 // prog.Builder.Build, which validates). Loading an unvalidated program
 // may make Run panic with an out-of-range access.
 //
-// Loading decodes the program into two parallel streams: the unfused
-// per-instruction code (observed loop, slow path) and the per-block fused
-// superinstruction code (unobserved block-batched loop), plus per-block
-// metadata — architectural length and class tallies — that lets the fast
-// loop account a whole block at once. Tallies come from p.Stats when the
-// program carries them (prog.Builder fills and prog.Validate verifies
-// them) and are recomputed here otherwise.
+// Loading decodes the program into one flat instruction stream plus
+// per-block metadata — length and class tallies — that lets a block be
+// accounted at once when it cannot cross a boundary. Tallies come from
+// p.Stats when the program carries them (prog.Builder fills and
+// prog.Validate verifies them) and are recomputed here otherwise.
 //
 // Programs that carry a pre-decoded Flat stream (prog.Builder fills it on
 // the same arena pass that carves the blocks) skip the per-instruction
@@ -321,8 +309,8 @@ func (m *Machine) CodeSize() (arch, fused int) {
 // rebuilt. The adopted view follows the program's lifetime contract (it
 // aliases builder storage until the builder's next Reset), which matches
 // the load-then-run-then-regenerate cycle of the hashing session; the
-// native backend's compiler and the fused stream read from the same view,
-// so they too consume the arena without a copy.
+// native backend's compiler reads from the same view, so it too consumes
+// the arena without a copy.
 func (m *Machine) LoadTrusted(p *prog.Program) {
 	m.loadGen++ // invalidates the native backend's compiled-code cache
 	m.memSize = p.MemSize
@@ -407,33 +395,6 @@ func (m *Machine) LoadTrusted(p *prog.Program) {
 	}
 	m.ownCode = code
 	m.code = code
-
-	// The fused superinstruction stream is built lazily by ensureFused:
-	// the native backend executes the unfused stream directly, so a
-	// native-backed load/run cycle never pays the peephole pass.
-}
-
-// ensureFused brings the fused superinstruction stream (see fuse.go) up
-// to date with the loaded program. It runs the peephole pass at most once
-// per load: the fused interpreter and the fusion-ratio telemetry need it,
-// the native backend does not. Blocks keep their identity — only the
-// intra-block stream is compressed — so control flow and accounting
-// metadata are unaffected.
-func (m *Machine) ensureFused() {
-	if m.fusedGen == m.loadGen {
-		return
-	}
-	m.fusedGen = m.loadGen
-	if cap(m.fcode) < len(m.code) {
-		m.fcode = make([]flatInstr, 0, len(m.code))
-	}
-	m.fcode = m.fcode[:0]
-	for bi := range m.blocks {
-		meta := &m.blocks[bi]
-		meta.fstart = uint32(len(m.fcode))
-		m.fcode = appendFusedBlock(m.fcode, m.code[meta.start:meta.start+meta.count])
-		meta.fend = uint32(len(m.fcode))
-	}
 }
 
 // reset restores the architectural state for a fresh run: registers are
@@ -530,7 +491,7 @@ func (m *Machine) PrepareMemory(size int, seed uint64) {
 // the execution. Callers on a hot path must instead recycle a Result
 // through RunInto — that is the zero-allocation path (once the Result's
 // output buffer reaches its high-water capacity, execution performs no
-// allocation; TestRunIntoZeroAlloc and TestFusedLoopZeroAlloc pin this).
+// allocation; TestRunIntoZeroAlloc and TestInterpLoopZeroAlloc pin this).
 func (m *Machine) Run(params Params, obs Observer) *Result {
 	res := &Result{}
 	m.RunInto(params, obs, res)
@@ -542,13 +503,12 @@ func (m *Machine) Run(params Params, obs Observer) *Result {
 // reused, so a Result that is recycled across calls reaches a steady
 // state where execution performs no allocation.
 //
-// The interpreter is specialized on the observer: with obs == nil the
-// block-batched superinstruction loop runs (per-block accounting, fused
-// dispatch — see runUnobserved); with an observer attached, a
-// per-instruction unfused loop runs so every architectural retirement is
-// visible as an Event. Both loops retire identical architectural state —
-// digests do not depend on whether an observer was attached — which the
-// fused-vs-unfused property and fuzz tests verify.
+// Unobserved runs take the native backend when it is selected and the
+// program compiles (see backend.go); everything else — observed runs,
+// BackendInterp, platforms without a JIT — runs the interpreter. Both
+// engines retire identical architectural state: digests depend neither on
+// the engine nor on whether an observer was attached, which the
+// cross-engine property and fuzz tests verify.
 func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 	params = params.withDefaults()
 	m.reset()
@@ -561,26 +521,22 @@ func (m *Machine) RunInto(params Params, obs Observer, res *Result) {
 		res.Output = make([]byte, 0, estSnaps*SnapshotSize)
 	}
 	m.lastStats = RunStats{Backend: BackendInterp}
-	if obs == nil {
-		// Unobserved runs may take the native backend (see backend.go);
-		// tryRunNative declines — leaving res untouched — whenever the
-		// backend, platform or program requires the interpreter.
-		if m.tryRunNative(params, res) {
-			m.lastStats.Backend = BackendNative
-		} else {
-			m.runUnobserved(params, res)
-		}
-	} else {
-		m.runObserved(params, obs, res)
+	// tryRunNative declines — leaving res untouched — whenever the backend,
+	// platform or program requires the interpreter.
+	if obs == nil && m.tryRunNative(params, res) {
+		m.lastStats.Backend = BackendNative
+		return
 	}
+	m.runInterp(params, obs, res)
 }
 
-// execState carries the live accounting shared between the block-batched
-// fast loop and the per-instruction slow path: the retired counter and
+// execState carries a run's live accounting: the retired counter and
 // snapshot countdown (which gate execution), branch statistics, and the
-// per-class counts accumulated by slow-path instructions. Fast-path class
-// counts are NOT accumulated here — they are reconstructed from per-block
-// execution counters at the end of the run (see runUnobserved).
+// per-class counts of instructions retired one at a time, plus where exact
+// retirement reports to (the observer, if any, and the result that
+// collects snapshots). Class counts of wholesale-accounted blocks are NOT
+// accumulated here — they are reconstructed from m.execs when the run ends
+// (see finishRun).
 type execState struct {
 	retired       uint64
 	untilSnap     uint64
@@ -589,513 +545,53 @@ type execState struct {
 	condBranches  uint64
 	takenBranches uint64
 	classCounts   [isa.NumClasses]uint64
+
+	obs Observer
+	res *Result
 }
 
-// slowStatus reports how the slow-path block executor left the run.
-type slowStatus uint8
-
-const (
-	slowNext  slowStatus = iota // continue the block loop at the returned block
-	slowHalt                    // a halt instruction retired
-	slowTrunc                   // the instruction budget truncated execution
-)
-
-// runUnobserved is the production interpreter loop, organized around the
-// program's basic-block structure: control flow can only leave a block at
-// its terminator, so the budget check, snapshot countdown and retirement
-// accounting are hoisted to once per block. A block whose execution would
-// cross the instruction budget or a snapshot boundary takes runBlockSlow —
-// an exact per-instruction re-entry over the unfused code — so retired
-// counts, truncation points and snapshot contents are bit-identical to
-// per-instruction execution. Within a block the fused superinstruction
-// stream (fuse.go) is dispatched, halving dispatch count on hot pairs.
-//
-// It must retire exactly the architectural state runObserved does.
-func (m *Machine) runUnobserved(params Params, res *Result) {
-	m.ensureFused()
-	fcode := m.fcode
-	blocks := m.blocks
-	mem := m.mem
-	intRegs := &m.intRegs
-	fpRegs := &m.fpRegs
-	mask := uint64(m.memSize - 1)
-
-	for i := range blocks {
-		blocks[i].execs = 0
+// branch counts a retired conditional branch and passes its outcome
+// through.
+func (st *execState) branch(taken bool) bool {
+	st.condBranches++
+	if taken {
+		st.takenBranches++
 	}
+	return taken
+}
 
-	st := execState{
+// startRun clears the per-block execution counters and returns the
+// accounting state for a fresh run.
+func (m *Machine) startRun(params Params, obs Observer, res *Result) execState {
+	nb := len(m.blocks)
+	if cap(m.execs) < nb {
+		m.execs = make([]uint64, nb)
+	}
+	m.execs = m.execs[:nb]
+	clear(m.execs)
+	return execState{
 		untilSnap:    params.SnapshotInterval,
 		snapInterval: params.SnapshotInterval,
 		maxInstr:     params.MaxInstructions,
+		obs:          obs,
+		res:          res,
 	}
-	truncated := false
-	bi := uint32(0)
+}
 
-blockLoop:
-	for {
-		if st.retired >= st.maxInstr {
-			truncated = true
-			break
-		}
-		meta := &blocks[bi]
-		count := uint64(meta.count)
-		if count > st.maxInstr-st.retired || count >= st.untilSnap {
-			// The block straddles the budget or a snapshot boundary:
-			// execute it per-instruction with exact checks.
-			next, status := m.runBlockSlow(bi, &st, res)
-			switch status {
-			case slowHalt:
-				break blockLoop
-			case slowTrunc:
-				truncated = true
-				break blockLoop
-			}
-			bi = next
-			continue
-		}
-
-		// Fast path: the whole block retires inside the budget and snapshot
-		// window, so account it wholesale. Class counts are deferred: only
-		// the per-block execution counter is bumped here, and the per-class
-		// totals are reconstructed from the static per-block tallies after
-		// the run.
-		meta.execs++
-		st.retired += count
-		st.untilSnap -= count
-		next := bi + 1
-		for i, fe := meta.fstart, meta.fend; i < fe; i++ {
-			ins := &fcode[i]
-			switch ins.op {
-			case isa.OpAdd:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-			case isa.OpSub:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-			case isa.OpAnd:
-				intRegs[ins.dst] = intRegs[ins.a] & intRegs[ins.b]
-			case isa.OpOr:
-				intRegs[ins.dst] = intRegs[ins.a] | intRegs[ins.b]
-			case isa.OpXor:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-			case isa.OpShl:
-				intRegs[ins.dst] = intRegs[ins.a] << (intRegs[ins.b] & 63)
-			case isa.OpShr:
-				intRegs[ins.dst] = intRegs[ins.a] >> (intRegs[ins.b] & 63)
-			case isa.OpRor:
-				k := intRegs[ins.b] & 63
-				v := intRegs[ins.a]
-				intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
-			case isa.OpCmpLT:
-				if intRegs[ins.a] < intRegs[ins.b] {
-					intRegs[ins.dst] = 1
-				} else {
-					intRegs[ins.dst] = 0
-				}
-			case isa.OpCmpEQ:
-				if intRegs[ins.a] == intRegs[ins.b] {
-					intRegs[ins.dst] = 1
-				} else {
-					intRegs[ins.dst] = 0
-				}
-			case isa.OpMov:
-				intRegs[ins.dst] = intRegs[ins.a]
-			case isa.OpMovI:
-				intRegs[ins.dst] = uint64(ins.imm)
-			case isa.OpAddI:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-
-			case isa.OpMul:
-				intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
-			case isa.OpMulH:
-				hi, _ := mul64(intRegs[ins.a], intRegs[ins.b])
-				intRegs[ins.dst] = hi
-
-			case isa.OpFAdd:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa + fb)
-			case isa.OpFSub:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa - fb)
-			case isa.OpFMul:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa * fb)
-			case isa.OpFDiv:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa / fb)
-			case isa.OpFSqrt:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fpRegs[ins.dst] = canonBits(math.Sqrt(math.Abs(fa)))
-			case isa.OpFMov:
-				fpRegs[ins.dst] = fpRegs[ins.a]
-			case isa.OpFCvt:
-				fpRegs[ins.dst] = canonBits(float64(int64(intRegs[ins.a])))
-			case isa.OpFToI:
-				intRegs[ins.dst] = clampToInt64(math.Float64frombits(fpRegs[ins.a]))
-
-			case isa.OpLoad:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				intRegs[ins.dst] = binary.LittleEndian.Uint64(mem[addr:])
-			case isa.OpFLoad:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				fpRegs[ins.dst] = canonFPBits(binary.LittleEndian.Uint64(mem[addr:]))
-			case isa.OpStore:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], intRegs[ins.b])
-			case isa.OpFStore:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], fpRegs[ins.b])
-
-			case isa.OpBeq:
-				st.condBranches++
-				if intRegs[ins.a] == intRegs[ins.b] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpBne:
-				st.condBranches++
-				if intRegs[ins.a] != intRegs[ins.b] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpBlt:
-				st.condBranches++
-				if intRegs[ins.a] < intRegs[ins.b] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpBge:
-				st.condBranches++
-				if intRegs[ins.a] >= intRegs[ins.b] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpJmp:
-				next = ins.target
-			case isa.OpHalt:
-				// retired/tally already account the halt (it is part of the
-				// block); the stale untilSnap is irrelevant past this point.
-				break blockLoop
-
-			case isa.OpVAdd:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = va[l] + vb[l]
-				}
-			case isa.OpVXor:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = va[l] ^ vb[l]
-				}
-			case isa.OpVMul:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = va[l] * vb[l]
-				}
-			case isa.OpVBcast:
-				v := intRegs[ins.a]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = v + uint64(l)
-				}
-			case isa.OpVRed:
-				va := &m.vecRegs[ins.a]
-				intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
-
-			// Fused superinstructions: exactly "first half, then second
-			// half", with the second half's operands unpacked from the
-			// encodings documented in fuse.go.
-			case isa.OpFuseCmpLTBeq:
-				var v uint64
-				if intRegs[ins.a] < intRegs[ins.b] {
-					v = 1
-				}
-				intRegs[ins.dst] = v
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] == intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseCmpLTBne:
-				var v uint64
-				if intRegs[ins.a] < intRegs[ins.b] {
-					v = 1
-				}
-				intRegs[ins.dst] = v
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] != intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseCmpEQBeq:
-				var v uint64
-				if intRegs[ins.a] == intRegs[ins.b] {
-					v = 1
-				}
-				intRegs[ins.dst] = v
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] == intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseCmpEQBne:
-				var v uint64
-				if intRegs[ins.a] == intRegs[ins.b] {
-					v = 1
-				}
-				intRegs[ins.dst] = v
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] != intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseAddIBeq:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] == intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseAddIBne:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				st.condBranches++
-				if intRegs[uint8(ins.aux)] != intRegs[uint8(ins.aux>>8)] {
-					st.takenBranches++
-					next = ins.target
-				}
-			case isa.OpFuseMovIAdd:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-			case isa.OpFuseMovISub:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-			case isa.OpFuseMovIXor:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-			case isa.OpFuseMovIAnd:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] & intRegs[ins.b]
-			case isa.OpFuseMovIOr:
-				intRegs[uint8(ins.aux)] = uint64(ins.imm)
-				intRegs[ins.dst] = intRegs[ins.a] | intRegs[ins.b]
-			case isa.OpFuseAddILoad:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				addr := (intRegs[uint8(ins.aux>>8)] + uint64(ins.target)) & mask &^ 7
-				intRegs[uint8(ins.aux)] = binary.LittleEndian.Uint64(mem[addr:])
-			case isa.OpFuseAddIStor:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				addr := (intRegs[uint8(ins.aux)] + uint64(ins.target)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], intRegs[uint8(ins.aux>>8)])
-			case isa.OpFuseMulAdd:
-				intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseFMulFAdd:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa * fb)
-				fa2 := math.Float64frombits(fpRegs[uint8(ins.aux>>8)])
-				fb2 := math.Float64frombits(fpRegs[uint8(ins.aux>>16)])
-				fpRegs[uint8(ins.aux)] = canonBits(fa2 + fb2)
-			case isa.OpFuseRorAnd:
-				k := intRegs[ins.b] & 63
-				v := intRegs[ins.a]
-				intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] & intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseAddJmp:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseSubJmp:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseAndJmp:
-				intRegs[ins.dst] = intRegs[ins.a] & intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseOrJmp:
-				intRegs[ins.dst] = intRegs[ins.a] | intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseXorJmp:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseShlJmp:
-				intRegs[ins.dst] = intRegs[ins.a] << (intRegs[ins.b] & 63)
-				next = ins.target
-			case isa.OpFuseShrJmp:
-				intRegs[ins.dst] = intRegs[ins.a] >> (intRegs[ins.b] & 63)
-				next = ins.target
-			case isa.OpFuseRorJmp:
-				k := intRegs[ins.b] & 63
-				v := intRegs[ins.a]
-				intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
-				next = ins.target
-			case isa.OpFuseCmpLTJmp:
-				if intRegs[ins.a] < intRegs[ins.b] {
-					intRegs[ins.dst] = 1
-				} else {
-					intRegs[ins.dst] = 0
-				}
-				next = ins.target
-			case isa.OpFuseCmpEQJmp:
-				if intRegs[ins.a] == intRegs[ins.b] {
-					intRegs[ins.dst] = 1
-				} else {
-					intRegs[ins.dst] = 0
-				}
-				next = ins.target
-			case isa.OpFuseMovJmp:
-				intRegs[ins.dst] = intRegs[ins.a]
-				next = ins.target
-			case isa.OpFuseMovIJmp:
-				intRegs[ins.dst] = uint64(ins.imm)
-				next = ins.target
-			case isa.OpFuseAddIJmp:
-				intRegs[ins.dst] = intRegs[ins.a] + uint64(ins.imm)
-				next = ins.target
-			case isa.OpFuseMulJmp:
-				intRegs[ins.dst] = intRegs[ins.a] * intRegs[ins.b]
-				next = ins.target
-			case isa.OpFuseMulHJmp:
-				hi, _ := mul64(intRegs[ins.a], intRegs[ins.b])
-				intRegs[ins.dst] = hi
-				next = ins.target
-			case isa.OpFuseFAddJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa + fb)
-				next = ins.target
-			case isa.OpFuseFSubJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa - fb)
-				next = ins.target
-			case isa.OpFuseFMulJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa * fb)
-				next = ins.target
-			case isa.OpFuseFDivJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fb := math.Float64frombits(fpRegs[ins.b])
-				fpRegs[ins.dst] = canonBits(fa / fb)
-				next = ins.target
-			case isa.OpFuseFSqrtJmp:
-				fa := math.Float64frombits(fpRegs[ins.a])
-				fpRegs[ins.dst] = canonBits(math.Sqrt(math.Abs(fa)))
-				next = ins.target
-			case isa.OpFuseFMovJmp:
-				fpRegs[ins.dst] = fpRegs[ins.a]
-				next = ins.target
-			case isa.OpFuseFCvtJmp:
-				fpRegs[ins.dst] = canonBits(float64(int64(intRegs[ins.a])))
-				next = ins.target
-			case isa.OpFuseFToIJmp:
-				intRegs[ins.dst] = clampToInt64(math.Float64frombits(fpRegs[ins.a]))
-				next = ins.target
-			case isa.OpFuseLoadJmp:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				intRegs[ins.dst] = binary.LittleEndian.Uint64(mem[addr:])
-				next = ins.target
-			case isa.OpFuseFLoadJmp:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				fpRegs[ins.dst] = canonFPBits(binary.LittleEndian.Uint64(mem[addr:]))
-				next = ins.target
-			case isa.OpFuseStoreJmp:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], intRegs[ins.b])
-				next = ins.target
-			case isa.OpFuseFStoreJmp:
-				addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-				m.markDirty(addr)
-				binary.LittleEndian.PutUint64(mem[addr:], fpRegs[ins.b])
-				next = ins.target
-			case isa.OpFuseVAddJmp:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = va[l] + vb[l]
-				}
-				next = ins.target
-			case isa.OpFuseVXorJmp:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = va[l] ^ vb[l]
-				}
-				next = ins.target
-			case isa.OpFuseVMulJmp:
-				va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = va[l] * vb[l]
-				}
-				next = ins.target
-			case isa.OpFuseVBcastJmp:
-				v := intRegs[ins.a]
-				vd := &m.vecRegs[ins.dst]
-				for l := 0; l < isa.VecLanes; l++ {
-					vd[l] = v + uint64(l)
-				}
-				next = ins.target
-			case isa.OpFuseVRedJmp:
-				va := &m.vecRegs[ins.a]
-				intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
-				next = ins.target
-
-			case isa.OpFuseAddAdd:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseAddSub:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] - intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseAddXor:
-				intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] ^ intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseSubAdd:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseSubSub:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] - intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseSubXor:
-				intRegs[ins.dst] = intRegs[ins.a] - intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] ^ intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseXorAdd:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] + intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseXorSub:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] - intRegs[uint8(ins.aux>>16)]
-			case isa.OpFuseXorXor:
-				intRegs[ins.dst] = intRegs[ins.a] ^ intRegs[ins.b]
-				intRegs[uint8(ins.aux)] = intRegs[uint8(ins.aux>>8)] ^ intRegs[uint8(ins.aux>>16)]
-			}
-		}
-		bi = next
-	}
-
-	// Final snapshot captures the terminal state (always emitted, so even
-	// an empty program contributes output).
+// finishRun is the epilogue both engines share: the terminal snapshot
+// (always emitted, so even an empty program contributes output), then the
+// deferred class accounting of wholesale-accounted blocks (execution
+// counts x static per-block tallies) folded into the exact counts.
+func (m *Machine) finishRun(st *execState, truncated bool) {
+	res := st.res
 	res.Output = m.appendSnapshot(res.Output, st.retired)
 	res.Snapshots++
 	res.Retired = st.retired
 	res.Truncated = truncated
 	res.CondBranches = st.condBranches
 	res.TakenBranches = st.takenBranches
-
-	// Fold the deferred fast-path class accounting (block execution counts
-	// x static per-block tallies) into the slow path's exact counts.
 	classCounts := st.classCounts
-	for b := range blocks {
-		n := blocks[b].execs
+	for b, n := range m.execs {
 		if n == 0 {
 			continue
 		}
@@ -1107,31 +603,86 @@ blockLoop:
 	res.ClassCounts = classCounts
 }
 
-// runBlockSlow executes block bi per-instruction over the unfused code with
-// the full per-instruction budget and snapshot checks — the exact semantics
-// of the pre-block-batching interpreter. The fast loop calls it for the
-// rare blocks that straddle an instruction-budget or snapshot boundary, so
-// truncation points, snapshot contents and retired counts never depend on
-// block shape or fusion. It returns the next block to execute (for
-// slowNext) or the terminal status.
-func (m *Machine) runBlockSlow(bi uint32, st *execState, res *Result) (uint32, slowStatus) {
-	code := m.code
+// runInterp is the interpreter: it runs the program from its entry block
+// to a halt or the instruction budget.
+func (m *Machine) runInterp(params Params, obs Observer, res *Result) {
+	st := m.startRun(params, obs, res)
+	m.finishRun(&st, m.runBlocks(0, false, &st) == truncated)
+}
+
+// runBlocks runs the program from block bi until a halt or the instruction
+// budget ends the run, returning halted or truncated, or — with single
+// set — until block bi is done, returning the block control transfers to
+// next (or halted or truncated, if the run ended inside bi). The
+// interpreter runs whole programs through it; the native backend runs
+// every block it cannot account wholesale through it, with single set.
+//
+// Each block hoists one decision, exact. A block that fits inside both the
+// budget and the current snapshot window, and is neither single nor
+// observed, is accounted up front — retired and the snapshot countdown
+// advance by its length and its execution counter is bumped — and then
+// executes with no per-instruction bookkeeping. An exact block executes
+// and retires one instruction at a time (see executeExact), so truncation
+// points, snapshot contents and retired counts never depend on block
+// shape.
+func (m *Machine) runBlocks(bi uint32, single bool, st *execState) uint32 {
+	for {
+		if st.retired >= st.maxInstr {
+			return truncated
+		}
+		meta := m.blocks[bi]
+		block := m.code[meta.start : meta.start+meta.count]
+		count := uint64(meta.count)
+		var next uint32
+		if single || st.obs != nil || count > st.maxInstr-st.retired || count >= st.untilSnap {
+			next = m.executeExact(block, meta.start, st)
+		} else {
+			m.execs[bi]++
+			st.retired += count
+			st.untilSnap -= count
+			next = m.execute(block, st)
+		}
+		switch next {
+		case halted, truncated:
+			return next
+		case fallThrough:
+			next = bi + 1
+		}
+		if single {
+			return next
+		}
+		bi = next
+	}
+}
+
+// Sentinels standing in for a block index (block indices are far smaller).
+const (
+	fallThrough = ^uint32(0)     // no control transfer was taken
+	halted      = ^uint32(0) - 1 // a halt instruction retired
+	truncated   = ^uint32(0) - 2 // the instruction budget ran out
+)
+
+// execute runs code — a basic block, or one instruction of one — and
+// returns the block a taken branch or jump names, halted, or fallThrough.
+// Control instructions only ever end a block, so whatever they decide is
+// the last thing code does. This is the one Go definition of the ISA's
+// semantics; the native backend's code generator (internal/jit) is the
+// only other.
+//
+// Keep calls out of the loop: Go preserves no registers across a call, so
+// even a rarely taken one spills the loop's live values on every
+// iteration. That is why per-instruction retirement (executeExact) calls
+// execute one instruction at a time rather than execute calling out.
+func (m *Machine) execute(code []flatInstr, st *execState) uint32 {
 	mem := m.mem
 	intRegs := &m.intRegs
 	fpRegs := &m.fpRegs
+	vecRegs := &m.vecRegs
 	mask := uint64(m.memSize - 1)
+	next := fallThrough
 
-	meta := &m.blocks[bi]
-	pc := meta.start
-	end := meta.start + meta.count
-	for pc < end {
-		if st.retired >= st.maxInstr {
-			return 0, slowTrunc
-		}
-		ins := &code[pc]
-		var next uint32
-		taken := false
-
+	for i := range code {
+		ins := &code[i]
 		switch ins.op {
 		case isa.OpAdd:
 			intRegs[ins.dst] = intRegs[ins.a] + intRegs[ins.b]
@@ -1203,311 +754,130 @@ func (m *Machine) runBlockSlow(bi uint32, st *execState, res *Result) (uint32, s
 			intRegs[ins.dst] = clampToInt64(math.Float64frombits(fpRegs[ins.a]))
 
 		case isa.OpLoad:
-			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
+			addr := effAddr(ins, intRegs, mask)
 			intRegs[ins.dst] = binary.LittleEndian.Uint64(mem[addr:])
 		case isa.OpFLoad:
-			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
+			addr := effAddr(ins, intRegs, mask)
 			fpRegs[ins.dst] = canonFPBits(binary.LittleEndian.Uint64(mem[addr:]))
 		case isa.OpStore:
-			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
+			addr := effAddr(ins, intRegs, mask)
 			m.markDirty(addr)
 			binary.LittleEndian.PutUint64(mem[addr:], intRegs[ins.b])
 		case isa.OpFStore:
-			addr := (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
+			addr := effAddr(ins, intRegs, mask)
 			m.markDirty(addr)
 			binary.LittleEndian.PutUint64(mem[addr:], fpRegs[ins.b])
 
 		case isa.OpBeq:
-			st.condBranches++
-			if intRegs[ins.a] == intRegs[ins.b] {
-				st.takenBranches++
-				taken, next = true, ins.aux
+			if st.branch(intRegs[ins.a] == intRegs[ins.b]) {
+				next = ins.aux
 			}
 		case isa.OpBne:
-			st.condBranches++
-			if intRegs[ins.a] != intRegs[ins.b] {
-				st.takenBranches++
-				taken, next = true, ins.aux
+			if st.branch(intRegs[ins.a] != intRegs[ins.b]) {
+				next = ins.aux
 			}
 		case isa.OpBlt:
-			st.condBranches++
-			if intRegs[ins.a] < intRegs[ins.b] {
-				st.takenBranches++
-				taken, next = true, ins.aux
+			if st.branch(intRegs[ins.a] < intRegs[ins.b]) {
+				next = ins.aux
 			}
 		case isa.OpBge:
-			st.condBranches++
-			if intRegs[ins.a] >= intRegs[ins.b] {
-				st.takenBranches++
-				taken, next = true, ins.aux
+			if st.branch(intRegs[ins.a] >= intRegs[ins.b]) {
+				next = ins.aux
 			}
 		case isa.OpJmp:
-			taken, next = true, ins.aux
+			next = ins.aux
 		case isa.OpHalt:
-			// Retire the halt, then stop. Like the pre-batching loop, a
-			// halt never advances the snapshot countdown.
-			st.retired++
-			st.classCounts[ins.class]++
-			return 0, slowHalt
+			next = halted
 
 		case isa.OpVAdd:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
+			va, vb, vd := &vecRegs[ins.a], &vecRegs[ins.b], &vecRegs[ins.dst]
+			for l := range vd {
 				vd[l] = va[l] + vb[l]
 			}
 		case isa.OpVXor:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
+			va, vb, vd := &vecRegs[ins.a], &vecRegs[ins.b], &vecRegs[ins.dst]
+			for l := range vd {
 				vd[l] = va[l] ^ vb[l]
 			}
 		case isa.OpVMul:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
+			va, vb, vd := &vecRegs[ins.a], &vecRegs[ins.b], &vecRegs[ins.dst]
+			for l := range vd {
 				vd[l] = va[l] * vb[l]
 			}
 		case isa.OpVBcast:
 			v := intRegs[ins.a]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
+			vd := &vecRegs[ins.dst]
+			for l := range vd {
 				vd[l] = v + uint64(l)
 			}
 		case isa.OpVRed:
-			va := &m.vecRegs[ins.a]
+			va := &vecRegs[ins.a]
 			intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
 		}
-
-		st.retired++
-		st.classCounts[ins.class]++
-		st.untilSnap--
-		if st.untilSnap == 0 {
-			res.Output = m.appendSnapshot(res.Output, st.retired)
-			res.Snapshots++
-			st.untilSnap = st.snapInterval
-		}
-		if taken {
-			return next, slowNext
-		}
-		pc++
 	}
-	return bi + 1, slowNext
+	return next
 }
 
-// runObserved is the instrumented interpreter loop: every retired
-// instruction is described to obs, including effective addresses and
-// branch outcomes. It retires exactly the architectural state
-// runUnobserved does.
-func (m *Machine) runObserved(params Params, obs Observer, res *Result) {
-	mask := uint64(m.memSize - 1)
-	var pc uint32
-	var retired uint64
-	untilSnap := params.SnapshotInterval
-	var ev Event
-	truncated := false
-
-	for {
-		if retired >= params.MaxInstructions {
-			truncated = true
-			break
+// executeExact runs block, whose first instruction has flat index pc, one
+// instruction at a time, retiring each individually: it counts the
+// instruction and its class, describes it to the observer, and advances
+// the snapshot countdown — a snapshot falls due exactly when it reaches
+// zero. It returns what execute does, or truncated if the budget runs out.
+// A halt retires but does not advance the countdown, so a halt that lands
+// on a snapshot boundary yields only the terminal snapshot; the digest
+// definition depends on this.
+func (m *Machine) executeExact(block []flatInstr, pc uint32, st *execState) uint32 {
+	obs := st.obs
+	next := fallThrough
+	for i := range block {
+		ins := &block[i]
+		if obs != nil {
+			m.describe(pc+uint32(i), ins)
 		}
-		ins := &m.code[pc]
-		nextPC := pc + 1
-		var taken bool
-		var addr uint64
-		var isMem bool
-
-		switch ins.op {
-		case isa.OpAdd:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] + m.intRegs[ins.b]
-		case isa.OpSub:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] - m.intRegs[ins.b]
-		case isa.OpAnd:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] & m.intRegs[ins.b]
-		case isa.OpOr:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] | m.intRegs[ins.b]
-		case isa.OpXor:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] ^ m.intRegs[ins.b]
-		case isa.OpShl:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] << (m.intRegs[ins.b] & 63)
-		case isa.OpShr:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] >> (m.intRegs[ins.b] & 63)
-		case isa.OpRor:
-			k := m.intRegs[ins.b] & 63
-			v := m.intRegs[ins.a]
-			m.intRegs[ins.dst] = (v >> k) | (v << ((64 - k) & 63))
-		case isa.OpCmpLT:
-			if m.intRegs[ins.a] < m.intRegs[ins.b] {
-				m.intRegs[ins.dst] = 1
-			} else {
-				m.intRegs[ins.dst] = 0
-			}
-		case isa.OpCmpEQ:
-			if m.intRegs[ins.a] == m.intRegs[ins.b] {
-				m.intRegs[ins.dst] = 1
-			} else {
-				m.intRegs[ins.dst] = 0
-			}
-		case isa.OpMov:
-			m.intRegs[ins.dst] = m.intRegs[ins.a]
-		case isa.OpMovI:
-			m.intRegs[ins.dst] = uint64(ins.imm)
-		case isa.OpAddI:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] + uint64(ins.imm)
-
-		case isa.OpMul:
-			m.intRegs[ins.dst] = m.intRegs[ins.a] * m.intRegs[ins.b]
-		case isa.OpMulH:
-			hi, _ := mul64(m.intRegs[ins.a], m.intRegs[ins.b])
-			m.intRegs[ins.dst] = hi
-
-		case isa.OpFAdd:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			fb := math.Float64frombits(m.fpRegs[ins.b])
-			r := fa + fb
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFSub:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			fb := math.Float64frombits(m.fpRegs[ins.b])
-			r := fa - fb
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFMul:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			fb := math.Float64frombits(m.fpRegs[ins.b])
-			r := fa * fb
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFDiv:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			fb := math.Float64frombits(m.fpRegs[ins.b])
-			r := fa / fb
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFSqrt:
-			fa := math.Float64frombits(m.fpRegs[ins.a])
-			r := math.Sqrt(math.Abs(fa))
-			m.fpRegs[ins.dst] = canonBits(r)
-		case isa.OpFMov:
-			m.fpRegs[ins.dst] = m.fpRegs[ins.a]
-		case isa.OpFCvt:
-			m.fpRegs[ins.dst] = canonBits(float64(int64(m.intRegs[ins.a])))
-		case isa.OpFToI:
-			m.intRegs[ins.dst] = clampToInt64(math.Float64frombits(m.fpRegs[ins.a]))
-
-		case isa.OpLoad:
-			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			isMem = true
-			m.intRegs[ins.dst] = binary.LittleEndian.Uint64(m.mem[addr:])
-		case isa.OpFLoad:
-			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			isMem = true
-			m.fpRegs[ins.dst] = canonFPBits(binary.LittleEndian.Uint64(m.mem[addr:]))
-		case isa.OpStore:
-			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			isMem = true
-			m.markDirty(addr)
-			binary.LittleEndian.PutUint64(m.mem[addr:], m.intRegs[ins.b])
-		case isa.OpFStore:
-			addr = (m.intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
-			isMem = true
-			m.markDirty(addr)
-			binary.LittleEndian.PutUint64(m.mem[addr:], m.fpRegs[ins.b])
-
-		case isa.OpBeq:
-			taken = m.intRegs[ins.a] == m.intRegs[ins.b]
-			res.CondBranches++
-			if taken {
-				res.TakenBranches++
-			}
-		case isa.OpBne:
-			taken = m.intRegs[ins.a] != m.intRegs[ins.b]
-			res.CondBranches++
-			if taken {
-				res.TakenBranches++
-			}
-		case isa.OpBlt:
-			taken = m.intRegs[ins.a] < m.intRegs[ins.b]
-			res.CondBranches++
-			if taken {
-				res.TakenBranches++
-			}
-		case isa.OpBge:
-			taken = m.intRegs[ins.a] >= m.intRegs[ins.b]
-			res.CondBranches++
-			if taken {
-				res.TakenBranches++
-			}
-		case isa.OpJmp:
-			taken = true
-		case isa.OpHalt:
-			// Retire the halt, then stop.
-			retired++
-			res.ClassCounts[ins.class]++
-			ev = Event{StaticID: pc, Op: ins.op, Class: ins.class}
-			obs.OnRetire(&ev)
-			goto done
-
-		case isa.OpVAdd:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = va[l] + vb[l]
-			}
-		case isa.OpVXor:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = va[l] ^ vb[l]
-			}
-		case isa.OpVMul:
-			va, vb := &m.vecRegs[ins.a], &m.vecRegs[ins.b]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = va[l] * vb[l]
-			}
-		case isa.OpVBcast:
-			v := m.intRegs[ins.a]
-			vd := &m.vecRegs[ins.dst]
-			for l := 0; l < isa.VecLanes; l++ {
-				vd[l] = v + uint64(l)
-			}
-		case isa.OpVRed:
-			va := &m.vecRegs[ins.a]
-			m.intRegs[ins.dst] = va[0] ^ va[1] ^ va[2] ^ va[3]
+		next = m.execute(block[i:i+1], st)
+		st.retired++
+		st.classCounts[ins.class]++
+		if obs != nil {
+			m.ev.Taken = next < truncated
+			obs.OnRetire(&m.ev)
 		}
-
-		if taken {
-			nextPC = ins.target
+		if next == halted {
+			return halted
 		}
-
-		retired++
-		res.ClassCounts[ins.class]++
-		ev = Event{
-			StaticID: pc,
-			Op:       ins.op,
-			Class:    ins.class,
-			Dst:      ins.dst,
-			A:        ins.a,
-			B:        ins.b,
-			Addr:     addr,
-			IsMem:    isMem,
-			Taken:    taken,
+		if st.untilSnap--; st.untilSnap == 0 {
+			st.res.Output = m.appendSnapshot(st.res.Output, st.retired)
+			st.res.Snapshots++
+			st.untilSnap = st.snapInterval
 		}
-		obs.OnRetire(&ev)
-
-		untilSnap--
-		if untilSnap == 0 {
-			res.Output = m.appendSnapshot(res.Output, retired)
-			res.Snapshots++
-			untilSnap = params.SnapshotInterval
+		if st.retired >= st.maxInstr {
+			return truncated
 		}
-		pc = nextPC
 	}
+	return next
+}
 
-done:
-	res.Output = m.appendSnapshot(res.Output, retired)
-	res.Snapshots++
-	res.Retired = retired
-	res.Truncated = truncated
+// effAddr is the effective address of a load or store: base register plus
+// displacement, masked to the scratch memory and aligned down to 8 bytes.
+func effAddr(ins *flatInstr, intRegs *[isa.NumIntRegs]uint64, mask uint64) uint64 {
+	return (intRegs[ins.a] + uint64(ins.imm)) & mask &^ 7
+}
+
+// describe fills m.ev for instruction pc before it executes, so a load or
+// store's address comes from its source registers; the branch outcome is
+// filled in when it retires.
+//
+// The fields are stored one by one: assigning a composite literal builds it
+// in a stack temporary of byte-wide stores and copies it with 16-byte loads,
+// which stalls store forwarding on every observed instruction.
+func (m *Machine) describe(pc uint32, ins *flatInstr) {
+	ev := &m.ev
+	ev.StaticID, ev.Op, ev.Class = pc, ins.op, ins.class
+	ev.Dst, ev.A, ev.B = ins.dst, ins.a, ins.b
+	ev.IsMem = ins.class == isa.ClassLoad || ins.class == isa.ClassStore
+	ev.Addr = 0
+	if ev.IsMem {
+		ev.Addr = effAddr(ins, &m.intRegs, uint64(m.memSize-1))
+	}
 }
 
 // appendSnapshot serializes the architectural register state.

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -544,4 +545,82 @@ func BenchmarkVMThroughput(b *testing.B) {
 		retired += res.Retired
 	}
 	b.ReportMetric(float64(retired)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+}
+
+// TestReloadSmallerMemoryAfterStores is a regression test for the
+// dirty-word reset: once repeated runs of a large scratch memory have armed
+// dirty recording, a reload to a smaller memory with the same seed must
+// fall back to full regeneration (the recorded dirty addresses lie beyond
+// the new image) — not panic or corrupt memory — and so must the grow back.
+// Each run reads the top word before clobbering it, so every run must see
+// that word pristine.
+func TestReloadSmallerMemoryAfterStores(t *testing.T) {
+	const seed = 7
+	build := func(memSize int) *prog.Program {
+		b := prog.NewBuilder(memSize, seed)
+		b.NewBlock()
+		b.MovI(1, int64(memSize)-8)
+		b.Load(3, 1, 0) // read the last word...
+		b.MovI(2, 0x1234)
+		b.Store(1, 2, 0) // ...then clobber it
+		b.Halt()
+		return b.MustBuild()
+	}
+	big := build(2 * prog.MinMemSize)
+	small := build(prog.MinMemSize)
+
+	m, err := New(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Native runs bypass dirty-word recording and force full regeneration,
+	// so only the interpreter exercises the repair path.
+	m.SetBackend(BackendInterp)
+	check := func(stage string, memSize int) {
+		t.Helper()
+		if want := rng.SplitMix64At(seed, uint64(memSize/8-1)); m.intRegs[3] != want {
+			t.Errorf("%s: last word = %#x, want pristine %#x", stage, m.intRegs[3], want)
+		}
+	}
+	// The second run arms dirty recording; the third repairs.
+	for run := 0; run < 3; run++ {
+		m.Run(Params{}, nil)
+		check(fmt.Sprintf("big run %d", run), 2*prog.MinMemSize)
+	}
+	m.LoadTrusted(small)
+	m.Run(Params{}, nil)
+	check("after shrink reload", prog.MinMemSize)
+	m.LoadTrusted(big)
+	m.Run(Params{}, nil)
+	check("after grow reload", 2*prog.MinMemSize)
+}
+
+// TestRepeatedRunsRepairDirtyWords asserts the incremental reset restores
+// bit-identical pristine memory across runs of the same program (the
+// miner's re-hash pattern): a run whose first action reads a word the
+// previous run overwrote must see the pristine value.
+func TestRepeatedRunsRepairDirtyWords(t *testing.T) {
+	const seed = 99
+	b := prog.NewBuilder(prog.MinMemSize, seed)
+	b.NewBlock()
+	b.Load(3, 0, 64) // read word 8 before overwriting it
+	b.MovI(1, 64)    //
+	b.MovI(2, -1)    //
+	b.Store(1, 2, 0) // clobber word 8
+	b.Store(1, 2, 8) // and word 9
+	b.Halt()
+	p := b.MustBuild()
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetBackend(BackendInterp) // the repair path is interpreter-only (see above)
+	want := rng.SplitMix64At(seed, 8)
+	for run := 0; run < 3; run++ {
+		m.Run(Params{}, nil)
+		if m.intRegs[3] != want {
+			t.Fatalf("run %d: load of previously-clobbered word = %#x, want pristine %#x",
+				run, m.intRegs[3], want)
+		}
+	}
 }
