@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
+	"hashcore"
 	"hashcore/internal/baseline"
 	"hashcore/internal/blockchain"
 	"hashcore/internal/p2p"
@@ -28,6 +30,30 @@ type SyncStoreBench struct {
 	Seconds float64 `json:"seconds"`
 }
 
+// SyncScaling is cold-sync throughput at one GOMAXPROCS.
+type SyncScaling struct {
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	BlocksPerS float64 `json:"blocks_per_sec"`
+}
+
+// SyncHashCoreBench is the cold sync of a HashCore-PoW chain into a
+// FileStore that fsyncs every append, where each block's PoW re-hash is
+// a full widget execution. Scaling runs it at GOMAXPROCS 1 and at
+// nproc, so the record shows what hashing a batch's headers on every
+// core buys.
+type SyncHashCoreBench struct {
+	Hasher  string        `json:"hasher"`
+	Blocks  int           `json:"blocks"`
+	Scaling []SyncScaling `json:"scaling"`
+}
+
+// HostStamp names the machine a report's numbers were measured on.
+type HostStamp struct {
+	CPUModel  string `json:"cpu_model"`
+	NProc     int    `json:"nproc"`
+	GoVersion string `json:"go_version"`
+}
+
 // SyncBenchReport is the machine-readable record of one sync benchmark
 // run (BENCH_sync.json).
 type SyncBenchReport struct {
@@ -37,21 +63,22 @@ type SyncBenchReport struct {
 	GOARCH    string `json:"goarch"`
 	Timestamp string `json:"timestamp"`
 	// Backend is the widget execution engine hashcore resolves to on the
-	// recording host (sync replays sha256d blocks; the field keys
-	// cross-host comparability of the whole BENCH_* set).
-	Backend string           `json:"backend"`
-	Stores  []SyncStoreBench `json:"stores"`
+	// recording host: the engine the HashCore rows ran on (the store rows
+	// sync sha256d blocks).
+	Backend  string            `json:"backend"`
+	Host     HostStamp         `json:"host"`
+	Stores   []SyncStoreBench  `json:"stores"`
+	HashCore SyncHashCoreBench `json:"hashcore"`
 }
 
-// premineLinear mines a linear n-block sha256d chain at the default
-// easy difficulty, off-line of any timing.
-func premineLinear(n int) ([]blockchain.Block, error) {
-	params := blockchain.DefaultParams()
-	c, err := blockchain.NewChain(params, baseline.SHA256d{})
+// premineLinear mines a linear n-block chain under params and h, off-line
+// of any timing.
+func premineLinear(params blockchain.Params, h pow.Hasher, n int) ([]blockchain.Block, error) {
+	c, err := blockchain.NewChain(params, h)
 	if err != nil {
 		return nil, err
 	}
-	miner := pow.NewMiner(baseline.SHA256d{}, runtime.GOMAXPROCS(0))
+	miner := pow.NewMiner(h, runtime.GOMAXPROCS(0))
 	blocks := make([]blockchain.Block, 0, n)
 	parent := c.GenesisID()
 	tm := params.GenesisTime
@@ -87,45 +114,88 @@ func premineLinear(n int) ([]blockchain.Block, error) {
 	return blocks, nil
 }
 
+func quiet(string, ...any) {}
+
+func closeManager(m *p2p.Manager) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return m.Close(ctx)
+}
+
+// syncSource is an in-memory node holding a premined chain, serving it
+// over TCP.
+type syncSource struct {
+	node *blockchain.Node
+	mgr  *p2p.Manager
+}
+
+func serveChain(params blockchain.Params, h pow.Hasher, blocks []blockchain.Block) (*syncSource, error) {
+	node, err := blockchain.OpenNode(blockchain.NodeConfig{Params: params, Hasher: h})
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range blocks {
+		if _, err := node.AddBlock(b); err != nil {
+			node.Close()
+			return nil, fmt.Errorf("sync bench premine: %w", err)
+		}
+	}
+	mgr, err := p2p.New(p2p.Config{Node: node, ListenAddr: "127.0.0.1:0", Logf: quiet})
+	if err == nil {
+		err = mgr.Start()
+	}
+	if err != nil {
+		node.Close()
+		return nil, err
+	}
+	return &syncSource{node: node, mgr: mgr}, nil
+}
+
+func (s *syncSource) close() {
+	closeManager(s.mgr)
+	s.node.Close()
+}
+
+// coldSync opens a fresh node on store, connects it to src and returns
+// how long it took to reach src's tip.
+func (s *syncSource) coldSync(params blockchain.Params, h pow.Hasher, store blockchain.Store) (time.Duration, error) {
+	node, err := blockchain.OpenNode(blockchain.NodeConfig{Params: params, Hasher: h, Store: store})
+	if err != nil {
+		return 0, err
+	}
+	defer node.Close()
+	mgr, err := p2p.New(p2p.Config{Node: node, Logf: quiet})
+	if err == nil {
+		err = mgr.Start()
+	}
+	if err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	mgr.Connect(s.mgr.Addr())
+	deadline := start.Add(120 * time.Second)
+	for node.TipID() != s.node.TipID() {
+		if time.Now().After(deadline) {
+			closeManager(mgr)
+			return 0, fmt.Errorf("no convergence within deadline (height %d/%d)", node.Height(), s.node.Height())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	elapsed := time.Since(start)
+	return elapsed, closeManager(mgr)
+}
+
 // runSyncBench measures header-first cold sync over real TCP: a source
-// node holds an n-block chain, a fresh node connects and must converge,
-// once per receiving-store configuration. Writes BENCH_sync.json.
+// node holds an n-block chain, a fresh node connects and must converge.
+// A sha256d chain is synced once per receiving-store configuration; a
+// HashCore chain (one leading zero bit, so mining it is cheap while
+// every re-hash is a full widget execution) is synced into an
+// fsync-per-append FileStore at GOMAXPROCS 1 and at nproc. Writes
+// BENCH_sync.json.
 func runSyncBench(n int, outPath string) error {
 	if n < 16 {
 		n = 16
 	}
-	blocks, err := premineLinear(n)
-	if err != nil {
-		return err
-	}
-	params := blockchain.DefaultParams()
-	source, err := blockchain.OpenNode(blockchain.NodeConfig{Params: params, Hasher: baseline.SHA256d{}})
-	if err != nil {
-		return err
-	}
-	defer source.Close()
-	for _, b := range blocks {
-		if _, err := source.AddBlock(b); err != nil {
-			return fmt.Errorf("sync bench premine: %w", err)
-		}
-	}
-	srcMgr, err := p2p.New(p2p.Config{
-		Node:       source,
-		ListenAddr: "127.0.0.1:0",
-		Logf:       func(string, ...any) {},
-	})
-	if err != nil {
-		return err
-	}
-	if err := srcMgr.Start(); err != nil {
-		return err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srcMgr.Close(ctx)
-	}()
-
 	tmpDir, err := os.MkdirTemp("", "hcbench-sync-")
 	if err != nil {
 		return err
@@ -139,60 +209,38 @@ func runSyncBench(n int, outPath string) error {
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
+		Host:      HostStamp{CPUModel: cpuModel(), NProc: runtime.NumCPU(), GoVersion: runtime.Version()},
 	}
 
+	params := blockchain.DefaultParams()
+	blocks, err := premineLinear(params, baseline.SHA256d{}, n)
+	if err != nil {
+		return err
+	}
+	src, err := serveChain(params, baseline.SHA256d{}, blocks)
+	if err != nil {
+		return err
+	}
 	for _, kind := range []string{"mem", "file", "file-batched"} {
 		var store blockchain.Store
 		switch kind {
 		case "mem":
 			store = blockchain.NewMemStore()
 		case "file":
-			fs, err := blockchain.OpenFileStore(filepath.Join(tmpDir, "blocks-"+kind+".log"))
-			if err != nil {
-				return err
-			}
-			store = fs
+			store, err = blockchain.OpenFileStore(filepath.Join(tmpDir, "blocks-"+kind+".log"))
 		case "file-batched":
-			fs, err := blockchain.OpenFileStoreWith(filepath.Join(tmpDir, "blocks-"+kind+".log"),
+			store, err = blockchain.OpenFileStoreWith(filepath.Join(tmpDir, "blocks-"+kind+".log"),
 				blockchain.FileStoreOptions{BatchAppends: 64})
-			if err != nil {
-				return err
-			}
-			store = fs
 		}
-		node, err := blockchain.OpenNode(blockchain.NodeConfig{Params: params, Hasher: baseline.SHA256d{}, Store: store})
 		if err != nil {
+			src.close()
 			return err
 		}
-		mgr, err := p2p.New(p2p.Config{Node: node, Logf: func(string, ...any) {}})
+		elapsed, err := src.coldSync(params, baseline.SHA256d{}, store)
 		if err != nil {
-			node.Close()
-			return err
+			src.close()
+			return fmt.Errorf("sync bench (%s): %w", kind, err)
 		}
-		if err := mgr.Start(); err != nil {
-			node.Close()
-			return err
-		}
-
-		start := time.Now()
-		mgr.Connect(srcMgr.Addr())
-		deadline := time.Now().Add(120 * time.Second)
-		for node.TipID() != source.TipID() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("sync bench (%s): no convergence within deadline (height %d/%d)", kind, node.Height(), n)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		elapsed := time.Since(start)
-
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err = mgr.Close(ctx)
-		cancel()
-		node.Close()
-		if err != nil {
-			return err
-		}
-
 		sb := SyncStoreBench{
 			Store:      kind,
 			BlocksPerS: float64(n) / elapsed.Seconds(),
@@ -200,6 +248,11 @@ func runSyncBench(n int, outPath string) error {
 		}
 		rep.Stores = append(rep.Stores, sb)
 		fmt.Printf("%-14s %8.0f blocks/s  (%d blocks in %.3fs over TCP)\n", kind, sb.BlocksPerS, n, sb.Seconds)
+	}
+	src.close()
+
+	if rep.HashCore, err = runHashCoreSync(n, tmpDir); err != nil {
+		return err
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -211,4 +264,60 @@ func runSyncBench(n int, outPath string) error {
 	}
 	fmt.Printf("wrote %s\n\n", outPath)
 	return nil
+}
+
+// runHashCoreSync is the HashCore half of the sync benchmark.
+func runHashCoreSync(n int, tmpDir string) (SyncHashCoreBench, error) {
+	out := SyncHashCoreBench{Blocks: n}
+	h, err := hashcore.New()
+	if err != nil {
+		return out, err
+	}
+	out.Hasher = h.Name()
+	params := blockchain.DefaultParams()
+	params.GenesisBits = pow.TargetToCompact(pow.Target(hashcore.TargetWithZeroBits(1)))
+	blocks, err := premineLinear(params, h, n)
+	if err != nil {
+		return out, err
+	}
+	src, err := serveChain(params, h, blocks)
+	if err != nil {
+		return out, err
+	}
+	defer src.close()
+	procs := []int{1}
+	if nproc := runtime.NumCPU(); nproc > 1 {
+		procs = append(procs, nproc)
+	}
+	for _, p := range procs {
+		store, err := blockchain.OpenFileStore(filepath.Join(tmpDir, fmt.Sprintf("hashcore-%d.log", p)))
+		if err != nil {
+			return out, err
+		}
+		prev := runtime.GOMAXPROCS(p)
+		elapsed, err := src.coldSync(params, h, store)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			return out, fmt.Errorf("sync bench (hashcore, GOMAXPROCS %d): %w", p, err)
+		}
+		sc := SyncScaling{GOMAXPROCS: p, BlocksPerS: float64(n) / elapsed.Seconds()}
+		out.Scaling = append(out.Scaling, sc)
+		fmt.Printf("hashcore file  %8.0f blocks/s  (%d blocks in %.3fs over TCP, GOMAXPROCS %d)\n",
+			sc.BlocksPerS, n, elapsed.Seconds(), p)
+	}
+	return out, nil
+}
+
+// cpuModel reads the processor name, or "unknown" where /proc is absent.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }

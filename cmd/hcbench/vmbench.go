@@ -110,8 +110,8 @@ type vmBenchPass struct {
 	digests   []hashcore.Digest // first few, for cross-backend comparison
 }
 
-// flushFinalizers settles the heap before a measured window. Two GCs age
-// this pass's warmup garbage all the way out (sync.Pool holds freed
+// flushFinalizers settles the heap ahead of the dry run that precedes a
+// measured window. Two GCs age earlier garbage all the way out (sync.Pool holds freed
 // sessions in a victim cache for one GC cycle), and the probe finalizer
 // proves the finalizer goroutine has actually run: its first-ever
 // execution lazily allocates its call frame, a one-time runtime malloc
@@ -145,27 +145,40 @@ func measureVMPass(profileName, backend string, n int) (*vmBenchPass, error) {
 	pass := &vmBenchPass{}
 
 	input := make([]byte, 80)
-	// Warm up with a dry run of the exact measurement inputs: every widget
-	// the measured loop will generate has then already been through the
-	// session once, so all buffer high-water marks are reached and the
-	// measured pass allocates exactly nothing. The first few inputs also
-	// cross-check the session digest against the public pooled path and
-	// are retained for the cross-backend digest comparison.
-	for i := 0; i < n; i++ {
+	// Cross-check the session digest against the public pooled path on
+	// the first few inputs; they are retained for the cross-backend
+	// digest comparison.
+	for i := 0; i < min(n, 5); i++ {
 		benchInput(input, i)
 		got, err := s.Hash(input)
 		if err != nil {
 			return nil, err
 		}
-		if i < 5 {
-			want, err := h.Hash(input)
-			if err != nil {
-				return nil, err
-			}
-			if got != want {
-				return nil, fmt.Errorf("%s: session digest diverged from pooled digest on warmup input %d", backend, i)
-			}
-			pass.digests = append(pass.digests, got)
+		want, err := h.Hash(input)
+		if err != nil {
+			return nil, err
+		}
+		if got != want {
+			return nil, fmt.Errorf("%s: session digest diverged from pooled digest on warmup input %d", backend, i)
+		}
+		pass.digests = append(pass.digests, got)
+	}
+	// Settle the heap, then warm up with a dry run of the exact
+	// measurement inputs: every widget the measured loop will generate
+	// has then been through the session once, so all buffer high-water
+	// marks are reached and the measured pass allocates exactly nothing.
+	// The dry run must come after the forced GCs, not before: a GC
+	// empties the runtime's central sudog cache (the session's fill
+	// rendezvous then allocates fresh ones on whichever P runs dry) and
+	// wakes the scavenger and the unique-map cleanup, which allocate on
+	// their own goroutines and may start an OS thread. All of that is
+	// runtime work the hash path never asks for again once settled; the
+	// dry run absorbs it so the window sees only the steady state.
+	flushFinalizers()
+	for i := 0; i < n; i++ {
+		benchInput(input, i)
+		if _, err := s.Hash(input); err != nil {
+			return nil, err
 		}
 	}
 
@@ -174,7 +187,6 @@ func measureVMPass(profileName, backend string, n int) (*vmBenchPass, error) {
 	lat := telemetry.NewRegistry().Histogram("hash_seconds", "offline per-hash latency",
 		telemetry.HashLatencyBuckets)
 
-	flushFinalizers()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()

@@ -176,7 +176,13 @@ func (c *Chain) NextBits(parentID Hash) (uint32, error) {
 // AddBlock validates b against its parent and inserts it, updating the tip
 // if the new block's chain has more total work. It returns the block's
 // identity hash.
-func (c *Chain) AddBlock(b Block) (Hash, error) {
+func (c *Chain) AddBlock(b Block) (Hash, error) { return c.addBlock(b, nil) }
+
+// addBlock is AddBlock with an optional precomputed PoW digest. A non-nil
+// pre must be c.hasher's digest of b.Header.Marshal(), computed by this
+// process (never a peer's claim); it replaces only the hasher call, so
+// every check runs, in the same order, with or without it.
+func (c *Chain) addBlock(b Block, pre *Hash) (Hash, error) {
 	parent, ok := c.nodes[b.Header.PrevHash]
 	if !ok {
 		return Hash{}, ErrUnknownParent
@@ -199,8 +205,10 @@ func (c *Chain) AddBlock(b Block) (Hash, error) {
 	if err != nil {
 		return Hash{}, err
 	}
-	id, err := c.hasher.Hash(b.Header.Marshal())
-	if err != nil {
+	var id Hash
+	if pre != nil {
+		id = *pre
+	} else if id, err = c.hasher.Hash(b.Header.Marshal()); err != nil {
 		return Hash{}, fmt.Errorf("blockchain: hashing header: %w", err)
 	}
 	if !pow.Check(id, target) {

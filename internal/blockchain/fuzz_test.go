@@ -112,3 +112,61 @@ func FuzzBlockRecordRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBatchVsSerial: AddBlocksFrom must agree with AddBlockFrom called
+// block by block (stopping at the first invalid block, as the p2p
+// handler did) on any delivery of a short block tree — permuted,
+// thinned, repeated and with corrupted bits, time, merkle root or nonce
+// — delivered in chunks: the same results, the same tip, the same
+// orphans. Each op is two bytes: a kind and an argument.
+func FuzzBatchVsSerial(f *testing.F) {
+	c := newEasyChain(f)
+	main := grow(f, c, c.GenesisID(), 12, 'm')
+	fork := grow(f, c, main[5].Header.PrevHash, 9, 'f')
+	tree := append(append([]Block{}, main...), fork...)
+
+	f.Add(uint8(16), []byte{})
+	f.Add(uint8(4), []byte{0, 3, 1, 7, 2, 9})
+	f.Add(uint8(1), []byte{3, 2, 4, 0, 5, 6, 6, 11, 7, 1})
+	f.Add(uint8(7), []byte{0, 0, 8, 14, 3, 5, 2, 2})
+
+	f.Fuzz(func(t *testing.T, chunk uint8, ops []byte) {
+		seq := append([]Block{}, tree...)
+		for i := 0; i+1 < len(ops) && len(seq) > 0; i += 2 {
+			arg := int(ops[i+1])
+			j := arg % len(seq)
+			b := seq[j]
+			switch ops[i] % 8 {
+			case 0: // swap with the block after
+				k := (j + 1) % len(seq)
+				seq[j], seq[k] = seq[k], seq[j]
+			case 1: // drop
+				seq = append(seq[:j], seq[j+1:]...)
+			case 2: // deliver again later
+				seq = append(seq, b)
+			case 3:
+				b.Header.Bits ^= 1 << (arg % 32)
+				seq[j] = b
+			case 4:
+				b.Header.Time += uint64(arg%3) - 1
+				seq[j] = b
+			case 5:
+				b.Header.MerkleRoot[arg%HashSize] ^= 1
+				seq[j] = b
+			case 6:
+				b.Header.Nonce ^= uint64(arg) + 1
+				seq[j] = b
+			case 7: // move to the front
+				seq = append([]Block{b}, append(seq[:j:j], seq[j+1:]...)...)
+			}
+		}
+		batch := newTestNodeWith(t, easyParams())
+		serial := newTestNodeWith(t, easyParams())
+		size := int(chunk%16) + 1
+		for i := 0; i < len(seq); i += size {
+			part := seq[i:min(i+size, len(seq))]
+			sameResults(t, batch.AddBlocksFrom(part, "peer"), addSerial(serial, part, "peer"))
+		}
+		sameState(t, batch, serial)
+	})
+}

@@ -135,16 +135,26 @@ func TestFileStoreMetrics(t *testing.T) {
 	}
 	defer n.Close()
 
+	// Mine first, so the four appends land well inside one BatchDelay
+	// even on a loaded machine.
+	scratch := newTestChain(t)
 	tm := DefaultParams().GenesisTime
-	parent := n.GenesisID()
+	parent := scratch.GenesisID()
+	var blocks []Block
 	for i := 0; i < 4; i++ {
 		tm += 30
-		b := mineOn(t, n, parent, tm, [][]byte{{byte(i)}})
-		id, err := n.AddBlock(b)
+		b := mineOn(t, scratch, parent, tm, [][]byte{{byte(i)}})
+		id, err := scratch.AddBlock(b)
 		if err != nil {
 			t.Fatal(err)
 		}
+		blocks = append(blocks, b)
 		parent = id
+	}
+	for _, b := range blocks {
+		if _, err := n.AddBlock(b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got, _ := reg.Value("chain_store_append_seconds"); got != 4 {
 		t.Fatalf("append observations = %v", got)

@@ -116,15 +116,7 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 		n.bodies = make(map[Hash]Block)
 	}
 	n.replaying = true
-	err = store.Load(func(b Block) error {
-		id, err := chain.AddBlock(b)
-		if err != nil {
-			return fmt.Errorf("blockchain: replaying block log at height %d: %w", chain.Height()+1, err)
-		}
-		n.recordBody(id, b)
-		n.replayed++
-		return nil
-	})
+	err = n.replay(store)
 	n.replaying = false
 	if err != nil {
 		store.Close()
@@ -136,6 +128,51 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 	n.met = registerNodeMetrics(cfg.Metrics, n)
 	n.journal = cfg.Journal
 	return n, nil
+}
+
+// replayChunk is how many logged blocks OpenNode validates per batch.
+const replayChunk = 64
+
+// replay feeds the store's log through full validation in chunks whose
+// PoW digests are computed on every core ahead of the in-order commit.
+// The log is replayed in order and stops at its first bad block, so the
+// error (and the height it names) is the one a block-by-block replay
+// returns. A chunk still pending when Load fails lies before the point
+// of failure, so it is validated first and its error takes precedence.
+func (n *Node) replay(store Store) error {
+	chunk := make([]Block, 0, replayChunk)
+	flush := func() error {
+		bs := chunk
+		chunk = chunk[:0]
+		if len(bs) == 0 {
+			return nil
+		}
+		var ph *prehash
+		if _, ok := n.chain.nodes[bs[0].Header.PrevHash]; ok {
+			ph = startPrehash(n.chain.hasher, bs)
+			defer ph.close()
+		}
+		for i, b := range bs {
+			id, err := n.chain.addBlock(b, ph.digest(i))
+			if err != nil {
+				return fmt.Errorf("blockchain: replaying block log at height %d: %w", n.chain.Height()+1, err)
+			}
+			n.recordBody(id, b)
+			n.replayed++
+		}
+		return nil
+	}
+	err := store.Load(func(b Block) error {
+		chunk = append(chunk, b)
+		if len(chunk) < replayChunk {
+			return nil
+		}
+		return flush()
+	})
+	if ferr := flush(); ferr != nil {
+		return ferr
+	}
+	return err
 }
 
 // Err returns the latched store failure that halted block acceptance,
@@ -175,6 +212,12 @@ func (n *Node) AddBlock(b Block) (Hash, error) {
 // origin's entries and evicts within the flooding origin first, so one
 // peer's orphan spam cannot evict blocks another peer parked.
 func (n *Node) AddBlockFrom(b Block, origin string) (Hash, error) {
+	return n.addBlockFrom(b, origin, nil)
+}
+
+// addBlockFrom is AddBlockFrom with an optional precomputed PoW digest
+// of b (see Chain.addBlock).
+func (n *Node) addBlockFrom(b Block, origin string, pre *Hash) (Hash, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.storeErr != nil {
@@ -185,7 +228,7 @@ func (n *Node) AddBlockFrom(b Block, origin string) (Hash, error) {
 	}
 	oldTip := n.chain.tip
 
-	id, err := n.chain.AddBlock(b)
+	id, err := n.chain.addBlock(b, pre)
 	if err != nil {
 		if errors.Is(err, ErrUnknownParent) {
 			n.orphans.add(b, origin)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hashcore/internal/asm"
@@ -46,13 +47,14 @@ type Session struct {
 	res vm.Result
 	buf []byte // seed || widget-output gate message
 
-	// The fill helper: runWidget sends the next widget's memory
-	// declaration, the helper answers on fillDone when the image is
-	// pristine. Both channels are buffered so neither side blocks on a
-	// missing rendezvous partner; nil when the helper is disabled (the
-	// single-threaded reference pipeline the equivalence tests run).
-	fillReq   chan fillRequest
-	fillDone  chan struct{}
+	// The fill helper: runWidget posts the next widget's memory
+	// declaration in fill and wakes the helper. Whichever side claims
+	// the posted fill first runs it, so the session goroutine never
+	// parks at the join (see joinFill). fillWake is nil when the helper
+	// is disabled (the single-threaded reference pipeline the
+	// equivalence tests run).
+	fill      *fillSlot
+	fillWake  chan struct{}
 	closeOnce sync.Once
 
 	// execMark is the instant the timed execution phase began (set by
@@ -61,29 +63,42 @@ type Session struct {
 	execMark time.Time
 }
 
-// fillRequest names a pristine scratch-memory image to prepare.
-type fillRequest struct {
-	size int
-	seed uint64
+// fillSlot is the one fill a session has posted: the scratch-memory
+// image to prepare and who runs it. It lives apart from the Session so
+// the helper can hold it without keeping the session reachable.
+type fillSlot struct {
+	size  int
+	seed  uint64
+	state atomic.Uint32
 }
+
+// fillSlot.state values.
+const (
+	fillDone    uint32 = iota // run (or none posted yet)
+	fillPending               // posted, claimed by neither side
+	fillRunning               // the helper is running it
+)
 
 // NewSession returns a fresh execution context for f.
 func (f *Func) NewSession() *Session {
 	s := &Session{
 		f:        f,
 		m:        &vm.Machine{},
-		fillReq:  make(chan fillRequest, 1),
-		fillDone: make(chan struct{}, 1),
+		fill:     &fillSlot{},
+		fillWake: make(chan struct{}, 1),
 	}
 	s.m.SetBackend(f.backend)
-	// The helper captures the machine and channels, NOT the session:
-	// a session unreferenced by everything but its own helper must become
-	// garbage so the finalizer can release that helper.
-	m, req, done := s.m, s.fillReq, s.fillDone
+	// The helper captures the machine, the fill slot and the wake
+	// channel, NOT the session: a session unreferenced by everything but
+	// its own helper must become garbage so the finalizer can release
+	// that helper.
+	m, fill, wake := s.m, s.fill, s.fillWake
 	go func() {
-		for r := range req {
-			m.PrepareMemory(r.size, r.seed)
-			done <- struct{}{}
+		for range wake {
+			if fill.state.CompareAndSwap(fillPending, fillRunning) {
+				m.PrepareMemory(fill.size, fill.seed)
+				fill.state.Store(fillDone)
+			}
 		}
 	}()
 	runtime.SetFinalizer(s, (*Session).Close)
@@ -99,8 +114,8 @@ func (f *Func) NewSession() *Session {
 func (s *Session) Close() {
 	s.closeOnce.Do(func() {
 		runtime.SetFinalizer(s, nil)
-		if s.fillReq != nil {
-			close(s.fillReq)
+		if s.fillWake != nil {
+			close(s.fillWake)
 		}
 	})
 }
@@ -112,7 +127,7 @@ func (s *Session) Close() {
 // of each); not part of the public surface.
 func (s *Session) disableFill() {
 	s.Close()
-	s.fillReq, s.fillDone = nil, nil
+	s.fillWake = nil
 }
 
 // Hash computes the HashCore digest of input using the session's reusable
@@ -137,11 +152,12 @@ type PhaseTimings struct {
 	// CompileNs is nanoseconds spent compiling widgets to native code
 	// (a subset of ExecNs; zero when the interpreter backend runs).
 	CompileNs int64
-	// FillNs is nanoseconds the pipeline spent blocked waiting for the
-	// concurrent scratch-memory preparation (a subset of ExecNs). Near
-	// zero when the fill helper finishes under the generation+compile
-	// shadow; approaching the full fill cost when it does not (e.g. a
-	// single-CPU host, where the helper's work serializes anyway).
+	// FillNs is nanoseconds the pipeline spent at the join with the
+	// concurrent scratch-memory preparation (a subset of ExecNs): waiting
+	// out the helper's fill, or running it inline when the helper had
+	// not started it. Near zero when the fill helper finishes under the
+	// generation+compile shadow; approaching the full fill cost when it
+	// does not (e.g. a single-CPU host, where the work serializes anyway).
 	FillNs int64
 	// LoadNs is nanoseconds spent loading generated programs into the VM
 	// (a subset of ExecNs): adopting the builder arena's pre-decoded
@@ -207,20 +223,24 @@ func (s *Session) hashInner(input []byte, obs vm.Observer, t *PhaseTimings) (Dig
 // on the overlap.
 func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings) error {
 	f := s.f
-	overlap := s.fillReq != nil
+	overlap := s.fillWake != nil
 	if overlap {
-		size, memSeed := f.gen.MemoryPlan(seed)
-		s.fillReq <- fillRequest{size: size, seed: memSeed}
+		s.fill.size, s.fill.seed = f.gen.MemoryPlan(seed)
+		s.fill.state.Store(fillPending)
+		select {
+		case s.fillWake <- struct{}{}:
+		default: // a wake-up is already queued
+		}
 	}
 	err := s.loadWidget(seed, obs, t)
 	if overlap {
-		// Always collect the helper's answer — an error path that left
-		// the rendezvous pending would desynchronize every later widget.
+		// Always settle the fill — an error path that left it pending
+		// could let the helper write the image under a later widget.
 		var fillStart time.Time
 		if t != nil {
 			fillStart = time.Now()
 		}
-		<-s.fillDone
+		s.joinFill()
 		if t != nil {
 			t.FillNs += time.Since(fillStart).Nanoseconds()
 		}
@@ -248,6 +268,32 @@ func (s *Session) runWidget(seed perfprox.Seed, obs vm.Observer, t *PhaseTimings
 		}
 	}
 	return nil
+}
+
+// joinSpins bounds how many times joinFill polls a running fill before
+// it starts yielding the P between polls: a few microseconds.
+const joinSpins = 4096
+
+// joinFill returns once the posted fill has been run. If the helper has
+// not claimed it (it may not have been scheduled at all while every P
+// was busy), this goroutine claims it and runs it inline; otherwise the
+// helper is running it, and the wait is its tail. The join never parks:
+// a parked receive takes a sudog from the runtime's per-P cache, and the
+// session's two goroutines park and wake on different Ps, so now and
+// then a P finds its cache empty and the runtime allocates one — a stray
+// malloc in a hash path that otherwise allocates nothing.
+func (s *Session) joinFill() {
+	if s.fill.state.CompareAndSwap(fillPending, fillDone) {
+		s.m.PrepareMemory(s.fill.size, s.fill.seed)
+		return
+	}
+	// The helper is mid-fill on another thread: poll for the tail,
+	// yielding the P only if it drags on (the helper was descheduled).
+	for i := 0; s.fill.state.Load() != fillDone; i++ {
+		if i >= joinSpins {
+			runtime.Gosched()
+		}
+	}
 }
 
 // loadWidget runs the generate/load/compile half of the widget pipeline —

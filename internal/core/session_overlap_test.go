@@ -37,10 +37,10 @@ func TestOverlappedMatchesReference(t *testing.T) {
 		overlapped := prof.f.NewSession()
 		defer overlapped.Close()
 		reference := refSession(prof.f)
-		if overlapped.fillReq == nil {
+		if overlapped.fillWake == nil {
 			t.Fatalf("%s: overlapped session has no fill helper", prof.name)
 		}
-		if reference.fillReq != nil {
+		if reference.fillWake != nil {
 			t.Fatalf("%s: reference session still has a fill helper", prof.name)
 		}
 		input := make([]byte, 16)

@@ -57,12 +57,14 @@ func TestViolationPointsClassification(t *testing.T) {
 	}
 }
 
-// hardenedManager starts a listening manager with slow keepalives and a
-// long sync timeout, so only the deliberate misbehavior in the test
-// moves the scoreboard.
+// hardenedManager starts a listening manager (on a fresh node unless
+// cfg names one) with slow keepalives and a long sync timeout, so only
+// the deliberate misbehavior in the test moves the scoreboard.
 func hardenedManager(t *testing.T, cfg Config) *Manager {
 	t.Helper()
-	cfg.Node = newNode(t)
+	if cfg.Node == nil {
+		cfg.Node = newNode(t)
+	}
 	cfg.ListenAddr = "127.0.0.1:0"
 	cfg.PingInterval = -1
 	cfg.SyncTimeout = time.Minute

@@ -406,25 +406,29 @@ func (p *peer) handleBlocks(msg BlocksMsg) error {
 	batch := p.want[:n]
 	rest := p.want[n:]
 
-	parked := 0
-	for _, s := range msg.Blocks {
+	blocks := make([]blockchain.Block, len(msg.Blocks))
+	for i, s := range msg.Blocks {
 		raw, err := hex.DecodeString(s)
 		if err != nil {
 			return violation(PointsMalformed, "p2p: blocks entry: %w", err)
 		}
-		b, err := blockchain.UnmarshalBlock(raw)
-		if err != nil {
+		if blocks[i], err = blockchain.UnmarshalBlock(raw); err != nil {
 			return violation(PointsMalformed, "p2p: blocks entry: %w", err)
 		}
-		if _, err := p.m.node.AddBlockFrom(b, p.host); err != nil {
-			if errors.Is(err, blockchain.ErrOrphan) {
+	}
+	// One batch call hashes the headers on every core and commits them
+	// in order; it stops at the first invalid block, as this loop does.
+	parked := 0
+	for _, r := range p.m.node.AddBlocksFrom(blocks, p.host) {
+		if r.Err != nil {
+			if errors.Is(r.Err, blockchain.ErrOrphan) {
 				parked++
 				continue // out-of-order arrival; connects when the parent lands
 			}
-			if errors.Is(err, blockchain.ErrDuplicate) {
+			if errors.Is(r.Err, blockchain.ErrDuplicate) {
 				continue // raced with another peer
 			}
-			return violation(PointsInvalidBlock, "p2p: peer %s sent invalid block: %w", p.name, err)
+			return violation(PointsInvalidBlock, "p2p: peer %s sent invalid block: %w", p.name, r.Err)
 		}
 		p.m.met.blockFetched()
 	}
